@@ -1,0 +1,11 @@
+"""Make the benchmark's modules and the ``repro`` sources importable
+when its self-tests run (``python3 -m pytest perfbench`` from the
+repository root)."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE, HERE.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))

@@ -864,3 +864,310 @@ class TestRatioGate:
         report = compare_result(baseline, run_scenario(name, repeats=2))
         assert report.ok
         assert report.ratios == []
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: the span-name diff, the gate report, flight attribution
+# ---------------------------------------------------------------------------
+#
+# Byte-exact pins of user-visible output.  The fixtures cover added,
+# removed, changed and unchanged span names, a count-only change, a tie
+# in |delta| (pinning the name tie-break) and a foreign trace without
+# span_id args; every duration is a binary fraction, so the numbers are
+# exact on any platform.
+
+_GOLDEN_A = [
+    ("gone", 1.0), ("same", 0.5), ("grew", 1.0), ("count", 0.5),
+    ("tie_a", 1.0), ("tie_b", 2.0),
+]
+_GOLDEN_B = [
+    ("same", 0.5), ("grew", 3.0), ("count", 0.25), ("count", 0.25),
+    ("tie_a", 2.0), ("tie_b", 1.0), ("new", 0.5),
+]
+#: a trace from another producer: no span_id/parent_id args, nesting
+#: only by interval on one (pid, tid) lane
+_GOLDEN_FOREIGN = {
+    "traceEvents": [
+        {"name": "outer", "ph": "X", "ts": 0, "dur": 500000, "pid": 1, "tid": 7},
+        {"name": "inner", "ph": "X", "ts": 100000, "dur": 250000, "pid": 1, "tid": 7},
+        {"name": "same", "ph": "X", "ts": 600000, "dur": 500000, "pid": 1, "tid": 8},
+    ]
+}
+
+_GOLDEN_SCENARIO = "_test_golden"
+
+
+@pytest.fixture
+def golden_traces(tmp_path):
+    a, b, foreign = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "f.json"
+    write_chrome_trace(_spans(_GOLDEN_A), a)
+    write_chrome_trace(_spans(_GOLDEN_B), b)
+    foreign.write_text(json.dumps(_GOLDEN_FOREIGN))
+    return a, b, foreign
+
+
+def _golden_result(wall, totals, counts, stacks, stack_counts, **extra):
+    root = f"bench:{_GOLDEN_SCENARIO}"
+    return scenarios_mod.ScenarioResult(
+        scenario=_GOLDEN_SCENARIO,
+        repeats=3,
+        wall_s=wall,
+        span_totals={root: wall, **totals},
+        span_counts={root: 1, **counts},
+        peak_rss_kb=1024,
+        stack_totals=stacks,
+        stack_counts=stack_counts,
+        **extra,
+    )
+
+
+def _golden_baseline():
+    root = f"bench:{_GOLDEN_SCENARIO}"
+    return BenchBaseline.from_result(
+        _golden_result(
+            [2.0, 2.0, 2.25],
+            {
+                "stage:slow": [0.5, 0.5, 0.5],
+                "stage:fast": [0.25, 0.25, 0.25],
+                "stage:gone": [0.125, 0.125, 0.125],
+                "stage:count": [0.25, 0.25, 0.25],
+                "tie:a": [0.5, 0.5, 0.5],
+                "tie:b": [0.5, 0.5, 0.5],
+            },
+            {"stage:slow": 1, "stage:fast": 2, "stage:gone": 1,
+             "stage:count": 2, "tie:a": 1, "tie:b": 1},
+            {
+                root: [0.25, 0.25, 0.5],
+                f"{root};stage:slow": [0.5, 0.5, 0.5],
+                f"{root};stage:fast": [0.25, 0.25, 0.25],
+                f"{root};stage:gone": [0.125, 0.125, 0.125],
+            },
+            {root: 1, f"{root};stage:slow": 1, f"{root};stage:fast": 2,
+             f"{root};stage:gone": 1},
+            fingerprint={"points": 7},
+            energy_j={"package": 10.0},
+            ratios={"overhead": [1.0, 1.0, 1.0]},
+        ),
+        ratio_limits={"overhead": 1.5},
+    )
+
+
+def _golden_fresh():
+    root = f"bench:{_GOLDEN_SCENARIO}"
+    return _golden_result(
+        [3.5, 3.25, 3.5],
+        {
+            "stage:slow": [1.5, 1.5, 1.75],
+            "stage:fast": [0.25, 0.25, 0.25],
+            "stage:new": [0.03125, 0.03125, 0.03125],
+            "stage:count": [0.25, 0.25, 0.25],
+            "tie:a": [0.75, 0.75, 0.75],
+            "tie:b": [0.25, 0.25, 0.25],
+        },
+        {"stage:slow": 1, "stage:fast": 2, "stage:new": 1,
+         "stage:count": 4, "tie:a": 1, "tie:b": 1},
+        {
+            root: [0.25, 0.25, 0.25],
+            f"{root};stage:slow": [1.5, 1.5, 1.75],
+            f"{root};stage:fast": [0.25, 0.25, 0.25],
+            f"{root};stage:new": [0.03125, 0.03125, 0.03125],
+        },
+        {root: 1, f"{root};stage:slow": 1, f"{root};stage:fast": 2,
+         f"{root};stage:new": 1},
+        fingerprint={"points": 8},
+        energy_j={"package": 10.25},
+        ratios={"overhead": [1.25, 1.25, 1.5]},
+    )
+
+
+@pytest.fixture
+def golden_gate(tmp_path, monkeypatch):
+    """A registered scenario whose fresh run is the fixed golden result
+    (no wall clock), with its baseline committed under tmp_path."""
+    import repro.bench
+
+    scenarios_mod._REGISTRY[_GOLDEN_SCENARIO] = scenarios_mod.BenchScenario(
+        name=_GOLDEN_SCENARIO, description="golden gate fixture", runner=dict
+    )
+    monkeypatch.setattr(
+        repro.bench, "run_scenario", lambda name, repeats=3: _golden_fresh()
+    )
+    baseline_dir = tmp_path / "baselines"
+    baseline_dir.mkdir()
+    save_baseline(_golden_baseline(), baseline_dir / baseline_filename(_GOLDEN_SCENARIO))
+    try:
+        yield baseline_dir
+    finally:
+        del scenarios_mod._REGISTRY[_GOLDEN_SCENARIO]
+
+
+_GOLDEN_WINDOW = {
+    "spans": [
+        {"name": "stage:slow", "value": 0.5},
+        {"name": "stage:fast", "value": 0.0625},
+        {"name": "unknown", "value": 9.0},
+        {"name": "stage:slow", "value": 0.75},
+        {"name": "stage:count", "value": 0.125},
+        {"name": "stage:count", "value": 0.125},
+    ]
+}
+
+
+_GOLDEN_OBS_DIFF_DEFAULT = """\
+trace diff: a=A  b=B
+span     status    n(a)    n(b)       t(a)       t(b)      delta
+grew    changed       1       1     1.0000     3.0000    +2.0000
+gone    removed       1       0     1.0000     0.0000    -1.0000
+tie_a   changed       1       1     1.0000     2.0000    +1.0000
+tie_b   changed       1       1     2.0000     1.0000    -1.0000
+new       added       0       1     0.0000     0.5000    +0.5000
+count   changed       1       2     0.5000     0.5000    +0.0000
+(1 span name(s) identical in both traces)
+TOTAL                               6.0000     7.5000    +1.5000
+"""
+_GOLDEN_OBS_DIFF_LIMIT_2 = """\
+trace diff: a=A  b=B
+span    status    n(a)    n(b)       t(a)       t(b)      delta
+grew   changed       1       1     1.0000     3.0000    +2.0000
+gone   removed       1       0     1.0000     0.0000    -1.0000
+... 4 more span name(s) below the cutoff
+(1 span name(s) identical in both traces)
+TOTAL                               6.0000     7.5000    +1.5000
+"""
+_GOLDEN_OBS_DIFF_SHOW_UNCHANGED = """\
+trace diff: a=A  b=B
+span     status    n(a)    n(b)       t(a)       t(b)      delta
+grew    changed       1       1     1.0000     3.0000    +2.0000
+gone    removed       1       0     1.0000     0.0000    -1.0000
+tie_a   changed       1       1     1.0000     2.0000    +1.0000
+tie_b   changed       1       1     2.0000     1.0000    -1.0000
+new       added       0       1     0.0000     0.5000    +0.5000
+count   changed       1       2     0.5000     0.5000    +0.0000
+same  unchanged       1       1     0.5000     0.5000    +0.0000
+TOTAL                               6.0000     7.5000    +1.5000
+"""
+_GOLDEN_OBS_DIFF_JSON = (
+    '{"deltas":[{"count_a":1,"count_b":1,"delta_s":2.0,"name":"grew","status":"changed","total_a_s":1.0,"total_b_s":3.0},'
+    '{"count_a":1,"count_b":0,"delta_s":-1.0,"name":"gone","status":"removed","total_a_s":1.0,"total_b_s":0.0},'
+    '{"count_a":1,"count_b":1,"delta_s":1.0,"name":"tie_a","status":"changed","total_a_s":1.0,"total_b_s":2.0},'
+    '{"count_a":1,"count_b":1,"delta_s":-1.0,"name":"tie_b","status":"changed","total_a_s":2.0,"total_b_s":1.0},'
+    '{"count_a":0,"count_b":1,"delta_s":0.5,"name":"new","status":"added","total_a_s":0.0,"total_b_s":0.5},'
+    '{"count_a":1,"count_b":2,"delta_s":0.0,"name":"count","status":"changed","total_a_s":0.5,"total_b_s":0.5},'
+    '{"count_a":1,"count_b":1,"delta_s":0.0,"name":"same","status":"unchanged","total_a_s":0.5,"total_b_s":0.5}],"total_a_s":6.0,"total_b_s":7.5,"total_delta_s":1.5}'
+    '\n'
+)
+_GOLDEN_OBS_DIFF_FOREIGN = """\
+trace diff: a=A  b=F
+span     status    n(a)    n(b)       t(a)       t(b)      delta
+tie_b   removed       1       0     2.0000     0.0000    -2.0000
+gone    removed       1       0     1.0000     0.0000    -1.0000
+grew    removed       1       0     1.0000     0.0000    -1.0000
+tie_a   removed       1       0     1.0000     0.0000    -1.0000
+count   removed       1       0     0.5000     0.0000    -0.5000
+outer     added       0       1     0.0000     0.5000    +0.5000
+inner     added       0       1     0.0000     0.2500    +0.2500
+same  unchanged       1       1     0.5000     0.5000    +0.0000
+TOTAL                               6.0000     1.2500    -4.7500
+"""
+_GOLDEN_GATE_FORMAT = """\
+bench gate: scenario '_test_golden'
+  wall 2.0000s -> 3.5000s (limit 3.0000s) REGRESSED
+  workload fingerprint DRIFTED:
+    points: 7 -> 8
+  REGRESSION attributed to span 'stage:slow' (0.5000s -> 1.5000s, +1.0000s over limit 0.7500s)
+    offending stack: bench:_test_golden;stage:slow (+1.0000s self)
+  energy within tolerance (package 10.00J -> 10.25J)
+  ratio 'overhead' 1.2500 within cap 1.5000
+  trace diff (baseline -> fresh, |delta| desc):
+    span                  status n(base)  n(new)    t(base)     t(new)      delta
+    bench:_test_golden   changed       1       1     2.0000     3.5000    +1.5000
+    stage:slow           changed       1       1     0.5000     1.5000    +1.0000
+    tie:a                changed       1       1     0.5000     0.7500    +0.2500
+    tie:b                changed       1       1     0.5000     0.2500    -0.2500
+    stage:gone           removed       1       0     0.1250     0.0000    -0.1250
+    stage:new              added       0       1     0.0000     0.0312    +0.0312
+    stage:count          changed       2       4     0.2500     0.2500    +0.0000
+    (1 span name(s) identical in both traces)
+    TOTAL                                            4.1250     6.5312    +2.4062
+"""[:-1]
+_GOLDEN_GATE_DICT = (
+    '{"energy": [{"baseline_j": 10.0, "delta_j": 0.25, "domain": "package", "fresh_j": 10.25, "limit_j": 10.5, "regressed": false}], "energy_offenders": [], "fingerprint_diffs": {"points": [7, 8]}, "fingerprint_ok": false, "offenders": ["stage:slow"], "ok": false, "ratio_offenders": [], "ratios": [{"baseline_ratio": 1.0, "fresh": 1.25, "limit": 1.5, "name": "overhead", "regressed": false}], "scenario": "_test_golden", "stack_offenders": [{"delta_s": 1.0, "self_a": 0.5, "self_b": 1.5, "stack": "bench:_test_golden;stage:slow", "status": "grown"},'
+    ' {"delta_s": 0.03125, "self_a": 0.0, "self_b": 0.03125, "stack": "bench:_test_golden;stage:new", "status": "new"}], "stages": [{"baseline_s": 0.25, "delta_s": 0.0, "fresh_s": 0.25, "limit_s": 0.375, "name": "stage:count", "regressed": false, "status": "changed"},'
+    ' {"baseline_s": 0.25, "delta_s": 0.0, "fresh_s": 0.25, "limit_s": 0.375, "name": "stage:fast", "regressed": false, "status": "changed"},'
+    ' {"baseline_s": 0.125, "delta_s": -0.125, "fresh_s": 0.0, "limit_s": 0.1875, "name": "stage:gone", "regressed": false, "status": "removed"},'
+    ' {"baseline_s": 0.5, "delta_s": 1.0, "fresh_s": 1.5, "limit_s": 0.75, "name": "stage:slow", "regressed": true, "status": "changed"},'
+    ' {"baseline_s": 0.5, "delta_s": 0.25, "fresh_s": 0.75, "limit_s": 0.75, "name": "tie:a", "regressed": false, "status": "changed"},'
+    ' {"baseline_s": 0.5, "delta_s": -0.25, "fresh_s": 0.25, "limit_s": 0.75, "name": "tie:b", "regressed": false, "status": "changed"},'
+    ' {"baseline_s": 0.0, "delta_s": 0.03125, "fresh_s": 0.03125, "limit_s": 0.05, "name": "stage:new", "regressed": false, "status": "added"}], "wall": {"baseline_s": 2.0, "delta_s": 1.5, "fresh_s": 3.5, "limit_s": 3.0, "name": "wall", "regressed": true, "status": "changed"}}'
+)
+_GOLDEN_GATE_STDOUT = (
+    _GOLDEN_GATE_FORMAT + "\n\nbench gate: FAIL (_test_golden regressed)\n"
+)
+_GOLDEN_GATE_DIFF_TXT = """\
+span                  status n(base)  n(new)    t(base)     t(new)      delta
+bench:_test_golden   changed       1       1     2.0000     3.5000    +1.5000
+stage:slow           changed       1       1     0.5000     1.5000    +1.0000
+tie:a                changed       1       1     0.5000     0.7500    +0.2500
+tie:b                changed       1       1     0.5000     0.2500    -0.2500
+stage:gone           removed       1       0     0.1250     0.0000    -0.1250
+stage:new              added       0       1     0.0000     0.0312    +0.0312
+stage:count          changed       2       4     0.2500     0.2500    +0.0000
+(1 span name(s) identical in both traces)
+TOTAL                                            4.1250     6.5312    +2.4062
+"""
+_GOLDEN_FLIGHT_DIFF = (
+    '{"total_a_s": 1.375, "total_b_s": 1.5625, "total_delta_s": 0.1875, "deltas": [{"name": "stage:slow", "status": "changed", "count_a": 2, "count_b": 2, "total_a_s": 1.0, "total_b_s": 1.25, "delta_s": 0.25},'
+    ' {"name": "stage:fast", "status": "changed", "count_a": 1, "count_b": 1, "total_a_s": 0.125, "total_b_s": 0.0625, "delta_s": -0.0625},'
+    ' {"name": "stage:count", "status": "unchanged", "count_a": 2, "count_b": 2, "total_a_s": 0.25, "total_b_s": 0.25, "delta_s": 0.0}]}'
+)
+
+
+class TestDiffGoldens:
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            ([], _GOLDEN_OBS_DIFF_DEFAULT),
+            (["--limit", "2"], _GOLDEN_OBS_DIFF_LIMIT_2),
+            (["--show-unchanged"], _GOLDEN_OBS_DIFF_SHOW_UNCHANGED),
+        ],
+    )
+    def test_obs_diff_text(self, golden_traces, capsys, flags, expected):
+        a, b, _ = golden_traces
+        assert main(["obs", "diff", str(a), str(b), *flags]) == 0
+        out = capsys.readouterr().out
+        assert out.replace(str(a), "A").replace(str(b), "B") == expected
+
+    def test_obs_diff_json_bytes(self, golden_traces, capsys):
+        a, b, _ = golden_traces
+        assert main(["obs", "diff", str(a), str(b), "--json"]) == 0
+        assert capsys.readouterr().out == _GOLDEN_OBS_DIFF_JSON
+
+    def test_obs_diff_foreign_trace(self, golden_traces, capsys):
+        a, _, foreign = golden_traces
+        assert main(["obs", "diff", str(a), str(foreign), "--show-unchanged"]) == 0
+        out = capsys.readouterr().out.replace(str(a), "A")
+        out = out.replace(str(foreign), "F")
+        assert out == _GOLDEN_OBS_DIFF_FOREIGN
+
+    def test_gate_report_format_and_dict(self):
+        report = compare_result(_golden_baseline(), _golden_fresh())
+        assert report.format() == _GOLDEN_GATE_FORMAT
+        assert json.dumps(report.as_dict(), sort_keys=True) == _GOLDEN_GATE_DICT
+
+    def test_gate_out_dir_diff_text(self, golden_gate, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        argv = ["bench", "gate", "--scenario", _GOLDEN_SCENARIO,
+                "--baseline-dir", str(golden_gate), "--out-dir", str(out_dir)]
+        assert main(argv) == 3
+        assert capsys.readouterr().out == _GOLDEN_GATE_STDOUT
+        diff_text = (out_dir / f"DIFF_{_GOLDEN_SCENARIO}.txt").read_text()
+        assert diff_text == _GOLDEN_GATE_DIFF_TXT
+
+    def test_flight_attribution_against_baseline(self):
+        from repro.obs.flight import attribute_incident
+
+        attribution = attribute_incident(
+            {"name": "budget_burn:cap"}, _GOLDEN_WINDOW, _golden_baseline()
+        )
+        assert json.dumps(attribution["diff"]) == _GOLDEN_FLIGHT_DIFF
+        assert attribution["diff_top"] == "stage:slow"

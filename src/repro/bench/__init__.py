@@ -12,8 +12,9 @@ longitudinal performance record of *itself*:
 * :mod:`repro.bench.baseline` — the schema-versioned
   ``BENCH_<scenario>.json`` committed next to the code;
 * :mod:`repro.bench.gate` — the regression gate: MAD-scaled
-  thresholds, exact fingerprint matching, and span-level trace-diff
-  attribution of any wall-time delta;
+  thresholds, exact fingerprint matching, and attribution of any
+  wall-time delta through the span-name diff and the stack diff of
+  :mod:`repro.obs.profile`;
 * :mod:`repro.bench.measure` — the span-based timing helpers shared
   with the tier-2 component benchmarks.
 

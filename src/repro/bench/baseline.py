@@ -64,6 +64,11 @@ class StageBaseline:
     count: int
     total_s: RobustStats
 
+    @property
+    def mean_s(self) -> float:
+        """Mean span duration: the median total over the span count."""
+        return self.total_s.median / self.count if self.count else 0.0
+
     def as_dict(self) -> Dict[str, object]:
         return {"count": self.count, "total_s": self.total_s.as_dict()}
 

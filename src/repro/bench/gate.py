@@ -14,8 +14,9 @@ committed ``BENCH_<scenario>.json``:
   evaluated, cache misses, knowledge sizes) must match exactly — a
   mismatch means the PR changed how much work the pipeline does, which
   no timing threshold should absorb silently;
-* the wall-time delta is **attributed** via span-level trace diffing
-  (:mod:`repro.obs.diff`): the verdict names the offending span, and
+* the wall-time delta is **attributed** via the span-name diff (the
+  profiling observatory's :func:`~repro.obs.profile.diff_flame` over
+  per-name median totals): the verdict names the offending span, and
   the report embeds the full per-span-name diff sorted by |delta|;
 * when the baseline committed per-stack medians (the profiling
   observatory's collapse, see :mod:`repro.obs.profile`), the verdict
@@ -31,9 +32,16 @@ from typing import Dict, List, Optional
 
 from repro.bench.baseline import BenchBaseline
 from repro.bench.scenarios import ScenarioResult
-from repro.bench.stats import RobustStats, median
-from repro.obs.diff import SpanAggregate, TraceDiff, diff_profiles, format_diff
-from repro.obs.profile import STACK_SEP, FlameProfile, StackDiff, StackStat, diff_flame
+from repro.bench.stats import median
+from repro.obs.profile import (
+    STACK_SEP,
+    FlameProfile,
+    StackDiff,
+    StackStat,
+    diff_flame,
+    format_name_diff,
+    profile_vs_baseline,
+)
 
 #: Default relative regression threshold (fraction of the baseline median).
 DEFAULT_THRESHOLD = 0.5
@@ -137,7 +145,8 @@ class GateReport:
     stages: List[StageVerdict]
     fingerprint_ok: bool
     fingerprint_diffs: Dict[str, object] = field(default_factory=dict)
-    diff: Optional[TraceDiff] = None
+    #: span-name diff (baseline medians vs. fresh medians)
+    diff: Optional[StackDiff] = None
     energy: List[EnergyVerdict] = field(default_factory=list)
     ratios: List[RatioVerdict] = field(default_factory=list)
     #: per-stack differential profile (baseline medians vs. fresh
@@ -298,21 +307,23 @@ class GateReport:
             lines.append("  trace diff (baseline -> fresh, |delta| desc):")
             lines.extend(
                 "    " + line
-                for line in format_diff(
-                    self.diff,
-                    limit=diff_limit,
-                    label_a="base",
-                    label_b="new",
+                for line in format_name_diff(
+                    self.diff, limit=diff_limit, hide_unchanged=True
                 ).splitlines()
             )
         return "\n".join(lines)
 
 
-def _limit(
-    stats: RobustStats, threshold: float, mad_k: float, min_delta_s: float
-) -> float:
-    return stats.median + max(
-        threshold * stats.median, mad_k * stats.mad, min_delta_s
+def median_profile(
+    samples: Dict[str, List[float]], counts: Dict[str, int]
+) -> FlameProfile:
+    """Per-key median over repeats, as a profile (see
+    :func:`~repro.bench.scenarios.per_repeat_columns`)."""
+    return FlameProfile(
+        {
+            key: StackStat(self_s=median(values), count=counts.get(key, 0))
+            for key, values in samples.items()
+        }
     )
 
 
@@ -331,7 +342,7 @@ def compare_result(
             f"fresh run is {result.scenario!r}"
         )
     fresh_wall = median(result.wall_s)
-    wall_limit = _limit(baseline.wall_s, threshold, mad_k, min_delta_s)
+    wall_limit = baseline.wall_s.limit(threshold, mad_k, min_delta_s)
     wall = StageVerdict(
         name="wall",
         baseline_s=baseline.wall_s.median,
@@ -348,27 +359,17 @@ def compare_result(
     for name, stage in sorted(baseline.stages.items()):
         if name == root:
             continue
-        if name not in fresh_names:
-            stages.append(
-                StageVerdict(
-                    name=name,
-                    baseline_s=stage.total_s.median,
-                    fresh_s=0.0,
-                    limit_s=_limit(stage.total_s, threshold, mad_k, min_delta_s),
-                    regressed=False,
-                    status="removed",
-                )
-            )
-            continue
-        fresh = median(result.span_totals[name])
-        limit = _limit(stage.total_s, threshold, mad_k, min_delta_s)
+        present = name in fresh_names
+        fresh = median(result.span_totals[name]) if present else 0.0
+        limit = stage.total_s.limit(threshold, mad_k, min_delta_s)
         stages.append(
             StageVerdict(
                 name=name,
                 baseline_s=stage.total_s.median,
                 fresh_s=fresh,
                 limit_s=limit,
-                regressed=fresh > limit,
+                regressed=present and fresh > limit,
+                status="changed" if present else "removed",
             )
         )
     for name in sorted(fresh_names - set(baseline.stages)):
@@ -432,35 +433,23 @@ def compare_result(
             )
         )
 
-    baseline_profile = {
-        name: SpanAggregate(count=stage.count, total_s=stage.total_s.median)
-        for name, stage in baseline.stages.items()
-    }
-    fresh_profile = {
-        name: SpanAggregate(
-            count=result.span_counts.get(name, 0),
-            total_s=median(samples),
-        )
-        for name, samples in result.span_totals.items()
-    }
-
+    name_diff = diff_flame(
+        FlameProfile(
+            {
+                name: StackStat(self_s=stage.total_s.median, count=stage.count)
+                for name, stage in baseline.stages.items()
+            }
+        ),
+        median_profile(result.span_totals, result.span_counts),
+        label_a="base",
+        label_b="new",
+    )
     # per-stack attribution: median-vs-median flame diff, only when
     # the baseline committed stacks (older baselines stay comparable)
     stack_diff = None
     if baseline.stacks and result.stack_totals:
-        base_flame = FlameProfile(label="baseline")
-        for stack, record in baseline.stacks.items():
-            base_flame.stacks[stack] = StackStat(
-                self_s=record.self_s.median, count=record.count
-            )
-        fresh_flame = FlameProfile(label="fresh")
-        for stack, samples in result.stack_totals.items():
-            fresh_flame.stacks[stack] = StackStat(
-                self_s=median(samples),
-                count=result.stack_counts.get(stack, 0),
-            )
-        stack_diff = diff_flame(
-            base_flame, fresh_flame, label_a="baseline", label_b="fresh"
+        stack_diff = profile_vs_baseline(
+            median_profile(result.stack_totals, result.stack_counts), baseline
         )
     return GateReport(
         scenario=result.scenario,
@@ -468,7 +457,7 @@ def compare_result(
         stages=stages,
         fingerprint_ok=not fingerprint_diffs,
         fingerprint_diffs=fingerprint_diffs,
-        diff=diff_profiles(baseline_profile, fresh_profile),
+        diff=name_diff,
         energy=energy,
         ratios=ratio_verdicts,
         stack_diff=stack_diff,

@@ -10,9 +10,10 @@ under a fresh enabled :class:`~repro.obs.Observability`, and collects:
 * **wall time** — the duration of the root ``bench:<scenario>`` span
   (timed through the tracer, the same code path every other
   measurement in the repo uses);
-* **per-span-name totals** — the trace aggregated with
-  :func:`repro.obs.diff.aggregate_spans`, so a baseline knows where
-  the time went, not just how much there was;
+* **per-span-name totals** — the trace folded per span name with
+  :func:`repro.obs.profile.name_totals` (count and summed durations),
+  so a baseline knows where the time went, not just how much there
+  was;
 * **engine counters and a workload fingerprint** — deterministic
   numbers (cache misses, points evaluated, knowledge-base sizes) that
   must be identical across repeats; a mismatch means the workload
@@ -28,11 +29,10 @@ exact same configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs import Observability
-from repro.obs.diff import aggregate_spans
-from repro.obs.profile import FlameProfile
+from repro.obs.profile import FlameProfile, name_totals
 from repro.obs.tracing import Span
 
 from repro.bench.measure import peak_rss_kb
@@ -623,6 +623,21 @@ class ScenarioResult:
     stack_counts: Dict[str, int] = field(default_factory=dict)
 
 
+def per_repeat_columns(
+    profiles: List[FlameProfile],
+) -> Tuple[Dict[str, List[float]], Dict[str, int]]:
+    """Per key of repeated profiles: its ``self_s`` in each repeat (0.0
+    where absent) and its first-repeat count — a scenario result's
+    columns, also the trend gate's history."""
+    keys = sorted(set().union(*(profile.stacks for profile in profiles)))
+    totals = {
+        key: [p.stacks[key].self_s if key in p.stacks else 0.0 for p in profiles]
+        for key in keys
+    }
+    counts = {key: stat.count for key, stat in profiles[0].stacks.items()}
+    return totals, counts
+
+
 def run_scenario(
     name: str,
     repeats: int = 3,
@@ -639,10 +654,8 @@ def run_scenario(
     scenario = get_scenario(name)
     factory = obs_factory if obs_factory is not None else Observability
     wall_s: List[float] = []
-    per_repeat_totals: List[Dict[str, float]] = []
-    per_repeat_stacks: List[Dict[str, float]] = []
-    span_counts: Dict[str, int] = {}
-    stack_counts: Dict[str, int] = {}
+    per_repeat_names: List[FlameProfile] = []
+    per_repeat_stacks: List[FlameProfile] = []
     fingerprint: Optional[Dict[str, object]] = None
     last_spans: List[Span] = []
     energy_j: Dict[str, float] = {}
@@ -654,19 +667,11 @@ def run_scenario(
         spans = obs.tracer.spans
         root = next(span for span in spans if span.name == f"bench:{name}")
         wall_s.append(root.duration_s)
-        aggregates = aggregate_spans(spans)
-        per_repeat_totals.append(
-            {span_name: agg.total_s for span_name, agg in aggregates.items()}
+        per_repeat_names.append(
+            name_totals((span.name, span.duration_s) for span in spans)
         )
-        profile = FlameProfile.from_spans(spans)
-        per_repeat_stacks.append(profile.self_by_stack())
+        per_repeat_stacks.append(FlameProfile.from_spans(spans))
         if repeat == 0:
-            span_counts = {
-                span_name: agg.count for span_name, agg in aggregates.items()
-            }
-            stack_counts = {
-                stack: stat.count for stack, stat in profile.stacks.items()
-            }
             fingerprint = dict(result)
         elif dict(result) != fingerprint:
             raise ValueError(
@@ -677,16 +682,8 @@ def run_scenario(
         energy_j = _energy_totals(obs.metrics)
         for ratio_name, value in _ratio_values(obs.metrics).items():
             ratios.setdefault(ratio_name, []).append(value)
-    names = sorted(set().union(*per_repeat_totals))
-    span_totals = {
-        span_name: [totals.get(span_name, 0.0) for totals in per_repeat_totals]
-        for span_name in names
-    }
-    stacks = sorted(set().union(*per_repeat_stacks))
-    stack_totals = {
-        stack: [selfs.get(stack, 0.0) for selfs in per_repeat_stacks]
-        for stack in stacks
-    }
+    span_totals, span_counts = per_repeat_columns(per_repeat_names)
+    stack_totals, stack_counts = per_repeat_columns(per_repeat_stacks)
     return ScenarioResult(
         scenario=name,
         repeats=repeats,

@@ -63,6 +63,14 @@ class RobustStats:
             samples=values,
         )
 
+    def limit(self, threshold: float, mad_k: float, floor: float = 0.0) -> float:
+        """The regression envelope of the bench and trend gates:
+        ``median + max(threshold * median, mad_k * MAD, floor)`` (for
+        ``mad_k >= 0`` the default floor adds nothing)."""
+        return self.median + max(
+            threshold * self.median, mad_k * self.mad, floor
+        )
+
     def as_dict(self) -> Dict[str, object]:
         return {
             "n": self.n,

@@ -898,20 +898,25 @@ def cmd_obs_diff(args: argparse.Namespace) -> int:
     """Span-level diff of two Chrome trace exports."""
     import json
 
-    from repro.obs.diff import diff_chrome_traces, format_diff
+    from repro.obs.profile import (
+        diff_flame,
+        format_name_diff,
+        name_diff_dict,
+        trace_name_totals,
+    )
 
-    diff = diff_chrome_traces(args.trace_a, args.trace_b)
+    diff = diff_flame(
+        trace_name_totals(args.trace_a), trace_name_totals(args.trace_b)
+    )
     if args.json:
         # machine mode, matching `socrates stats --json`: one line,
         # stable key order, no screen-scraping
-        print(json.dumps(diff.as_dict(), sort_keys=True, separators=(",", ":")))
+        print(json.dumps(name_diff_dict(diff), sort_keys=True, separators=(",", ":")))
         return 0
     print(f"trace diff: a={args.trace_a}  b={args.trace_b}")
     print(
-        format_diff(
-            diff,
-            limit=args.limit,
-            hide_unchanged=not args.show_unchanged,
+        format_name_diff(
+            diff, limit=args.limit, hide_unchanged=not args.show_unchanged
         )
     )
     return 0
@@ -2172,7 +2177,7 @@ def cmd_bench_gate(args: argparse.Namespace) -> int:
         from pathlib import Path
 
         from repro.bench import BenchBaseline, baseline_filename, save_baseline
-        from repro.obs.diff import format_diff
+        from repro.obs.profile import format_name_diff
 
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -2189,12 +2194,7 @@ def cmd_bench_gate(args: argparse.Namespace) -> int:
             if report.diff is not None:
                 with open(out_dir / f"DIFF_{result.scenario}.txt", "w") as handle:
                     handle.write(
-                        format_diff(
-                            report.diff,
-                            limit=0,
-                            label_a="base",
-                            label_b="new",
-                        )
+                        format_name_diff(report.diff, limit=0, hide_unchanged=True)
                         + "\n"
                     )
     failed = []

@@ -325,7 +325,7 @@ def latency_slos_from_baselines(
         for name, stage in baseline.stages.items():
             if not stage.count:
                 continue
-            limit = slack * stage.total_s.median / stage.count
+            limit = slack * stage.mean_s
             limits[name] = max(limits.get(name, 0.0), limit)
     return limits
 

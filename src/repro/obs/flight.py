@@ -10,7 +10,8 @@ snapshotted into a schema-versioned **incident bundle**
 (``socrates-incident/1``) with automatic root-cause attribution: the
 violated energy domain, the operating point that dominated the energy
 spent inside the window, and (when a bench baseline is at hand) a
-:mod:`repro.obs.diff` span-diff against the baseline's stage profile.
+span-name diff (:func:`repro.obs.profile.diff_flame` over per-name
+totals) against the baseline's stage profile.
 
 Incident identifiers are content addresses: ``inc-`` plus a SHA-256
 prefix over the *virtual-time* content of the bundle (wall-clock span
@@ -26,6 +27,13 @@ from collections import deque
 from pathlib import Path
 from typing import Callable, Deque, Dict, List, Mapping, Optional, Sequence, Union
 
+from repro.obs.profile import (
+    FlameProfile,
+    StackStat,
+    diff_flame,
+    name_diff_dict,
+    name_totals,
+)
 from repro.obs.stream import ALERT, AUDIT, ENERGY, EVENT_KINDS, METRIC, SPAN, StreamEvent
 
 PathLike = Union[str, Path]
@@ -297,9 +305,9 @@ def attribute_incident(
       under: on a power-budget burn the offender is whatever the
       MAPE-K loop was running while the budget burned.
     * ``diff`` — when a :class:`repro.bench.baseline.BenchBaseline` is
-      supplied, a :mod:`repro.obs.diff` comparison of the window's
-      span profile against the baseline's per-stage means, scaled to
-      the window's span counts (informational: wall-clock based).
+      supplied, a span-name diff of the window's per-name totals
+      against the baseline's per-stage means, scaled to the window's
+      span counts (informational: wall-clock based).
     """
     context = alert.get("context") or {}
     domain = str(context.get("domain", "package"))
@@ -353,10 +361,12 @@ def attribute_incident(
     if baseline is not None:
         diff = _diff_against_baseline(window.get("spans", []), baseline)
         if diff is not None:
-            attribution["diff"] = diff.as_dict()
-            changed = [d for d in diff.deltas if d.status == "changed" and d.delta_s > 0]
+            attribution["diff"] = name_diff_dict(diff)
+            changed = [
+                d for d in diff.deltas if d.name_status == "changed" and d.delta_s > 0
+            ]
             if changed:
-                attribution["diff_top"] = changed[0].name
+                attribution["diff_top"] = changed[0].stack
     return attribution
 
 
@@ -364,31 +374,24 @@ def _diff_against_baseline(
     span_events: Sequence[Mapping[str, object]], baseline: object
 ):
     """Window span profile vs the baseline's scaled stage means."""
-    from repro.obs.diff import SpanAggregate, diff_profiles
-
     stages = getattr(baseline, "stages", None)
     if not stages:
         return None
-    observed: Dict[str, SpanAggregate] = {}
-    counts: Dict[str, int] = {}
-    totals: Dict[str, float] = {}
-    for event in span_events:
-        name = str(event.get("name", "?"))
-        counts[name] = counts.get(name, 0) + 1
-        totals[name] = totals.get(name, 0.0) + float(event.get("value", 0.0))
-    for name in counts:
-        observed[name] = SpanAggregate(count=counts[name], total_s=totals[name])
-    expected: Dict[str, SpanAggregate] = {}
-    for name, count in counts.items():
-        stage = stages.get(name)
-        if stage is None or not getattr(stage, "count", 0):
-            continue
-        mean_s = stage.total_s.median / stage.count
-        expected[name] = SpanAggregate(count=count, total_s=mean_s * count)
-    observed = {name: observed[name] for name in expected}
-    if not expected:
+    observed = name_totals(
+        (str(event.get("name", "?")), float(event.get("value", 0.0)))
+        for event in span_events
+    )
+    expected = FlameProfile(
+        {
+            name: StackStat(self_s=stages[name].mean_s * stat.count, count=stat.count)
+            for name, stat in observed.stacks.items()
+            if name in stages and stages[name].count
+        }
+    )
+    if not expected.stacks:
         return None
-    return diff_profiles(expected, observed)
+    observed.stacks = {name: observed.stacks[name] for name in expected.stacks}
+    return diff_flame(expected, observed)
 
 
 # -- bundles ------------------------------------------------------------------

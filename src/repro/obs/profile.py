@@ -22,7 +22,9 @@ speeding up, and what would that buy end-to-end?**  Three pillars:
   and :func:`profile_vs_baseline` compares a fresh profile against the
   per-stack medians a ``BENCH_<scenario>.json`` baseline committed, so
   a bench-gate regression names the offending *stack*, not just the
-  span name.
+  span name.  The span-name diff (``socrates obs diff``, the bench
+  gate's per-name table) is the same :func:`diff_flame` run over the
+  flat per-name profiles :func:`name_totals` builds.
 
 * **Causal what-if analysis** — :func:`whatif` replays the tree in
   virtual time with a virtual speedup applied to the *self* time of
@@ -165,13 +167,12 @@ def total_virtual_s(roots: Sequence[ProfileNode]) -> float:
     return sum(node.self_s for node in _walk(roots))
 
 
-def load_chrome_trace(path: PathLike) -> List[ProfileNode]:
-    """Rebuild the span tree from an exported Chrome trace_event file.
+def _read_chrome_trace(path: PathLike) -> Tuple[List[dict], Dict[object, str]]:
+    """The complete ('X') span events and thread names of a Chrome trace.
 
-    Our exporter stamps every span's ``span_id``/``parent_id`` into
-    ``args``, so parentage survives the export exactly.  Traces from
-    other producers lack those args; parents are then inferred from
-    interval nesting per (pid, tid).
+    The one reader behind :func:`load_chrome_trace` and
+    :func:`trace_name_totals`: a malformed file raises a
+    :class:`ValueError` naming ``path``.
     """
     try:
         document = json.loads(Path(path).read_text())
@@ -185,7 +186,7 @@ def load_chrome_trace(path: PathLike) -> List[ProfileNode]:
         raise ValueError(f"{path}: missing top-level 'traceEvents' array")
     track_names: Dict[object, str] = {}
     events: List[dict] = []
-    for event in document["traceEvents"]:
+    for index, event in enumerate(document["traceEvents"]):
         if not isinstance(event, dict):
             continue
         if event.get("ph") == "M" and event.get("name") == "thread_name":
@@ -193,9 +194,31 @@ def load_chrome_trace(path: PathLike) -> List[ProfileNode]:
                 dict(event.get("args") or {}).get("name", event.get("tid"))
             )
         elif event.get("ph") == "X":
+            for key in ("name", "ts", "dur"):
+                if key not in event:
+                    raise ValueError(f"{path}: span event {index} lacks {key!r}")
+            for key in ("ts", "dur"):
+                try:
+                    float(event[key])
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        f"{path}: span event {index} has a non-numeric {key!r}"
+                    ) from None
             events.append(event)
     if not events:
         raise ValueError(f"{path}: trace contains no complete ('X') span events")
+    return events, track_names
+
+
+def load_chrome_trace(path: PathLike) -> List[ProfileNode]:
+    """Rebuild the span tree from an exported Chrome trace_event file.
+
+    Our exporter stamps every span's ``span_id``/``parent_id`` into
+    ``args``, so parentage survives the export exactly.  Traces from
+    other producers lack those args; parents are then inferred from
+    interval nesting per (pid, tid).
+    """
+    events, track_names = _read_chrome_trace(path)
 
     def track_of(event: dict) -> str:
         if "cat" in event:
@@ -668,10 +691,23 @@ class StackDelta:
     self_a: float
     self_b: float
     status: str  # "new" | "gone" | "grown" | "shrunk" | "unchanged"
+    count_a: int
+    count_b: int
 
     @property
     def delta_s(self) -> float:
         return self.self_b - self.self_a
+
+    @property
+    def name_status(self) -> str:
+        """The status word of the span-name view: ``added`` /
+        ``removed``, else ``changed`` when the total or the count
+        differs at all, else ``unchanged``."""
+        if self.status in ("new", "gone"):
+            return "added" if self.status == "new" else "removed"
+        if (self.self_a, self.count_a) != (self.self_b, self.count_b):
+            return "changed"
+        return "unchanged"
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -717,9 +753,11 @@ def diff_flame(
 ) -> StackDiff:
     """Compare two flame profiles stack by stack."""
     deltas: List[StackDelta] = []
+    absent = StackStat()
     for stack in set(a.stacks) | set(b.stacks):
-        self_a = a.stacks[stack].self_s if stack in a.stacks else 0.0
-        self_b = b.stacks[stack].self_s if stack in b.stacks else 0.0
+        in_a = a.stacks.get(stack, absent)
+        in_b = b.stacks.get(stack, absent)
+        self_a, self_b = in_a.self_s, in_b.self_s
         if stack not in a.stacks:
             status = "new"
         elif stack not in b.stacks:
@@ -731,7 +769,14 @@ def diff_flame(
         else:
             status = "unchanged"
         deltas.append(
-            StackDelta(stack=stack, self_a=self_a, self_b=self_b, status=status)
+            StackDelta(
+                stack=stack,
+                self_a=self_a,
+                self_b=self_b,
+                status=status,
+                count_a=in_a.count,
+                count_b=in_b.count,
+            )
         )
     deltas.sort(key=lambda delta: (-abs(delta.delta_s), delta.stack))
     return StackDiff(
@@ -786,6 +831,92 @@ def format_stack_diff(
     hidden = len(deltas) - len(shown)
     if hidden > 0:
         lines.append(f"... {hidden} more stack(s) not shown")
+    return "\n".join(lines)
+
+
+# -- the span-name view --------------------------------------------------------
+
+
+def name_totals(spans: Iterable[Tuple[str, float]]) -> FlameProfile:
+    """A flat profile of ``(name, duration_s)`` pairs, keyed by name.
+
+    Each entry's ``self_s`` is the name's *summed span durations* and
+    ``count`` its span count — the view a bench baseline commits per
+    stage.  It is not ``FlameProfile.names()[name].total_s``, which
+    sums self time by stack containment and so differs on cross-track
+    worker lanes and recursion.  :func:`diff_flame` over two of these
+    is the span-name diff (``socrates obs diff``).
+    """
+    profile = FlameProfile()
+    for name, duration_s in spans:
+        stat = profile.stacks.setdefault(name, StackStat())
+        stat.self_s += duration_s
+        stat.count += 1
+    return profile
+
+
+def trace_name_totals(path: PathLike) -> FlameProfile:
+    """:func:`name_totals` of an exported Chrome trace file."""
+    events, _ = _read_chrome_trace(path)
+    return name_totals(
+        (str(event["name"]), float(event["dur"]) / 1e6) for event in events
+    )
+
+
+def name_diff_dict(diff: StackDiff) -> Dict[str, object]:
+    """A span-name diff as a JSON document (``obs diff --json``)."""
+    return {
+        "total_a_s": diff.total_a,
+        "total_b_s": diff.total_b,
+        "total_delta_s": diff.total_b - diff.total_a,
+        "deltas": [
+            {
+                "name": delta.stack,
+                "status": delta.name_status,
+                "count_a": delta.count_a,
+                "count_b": delta.count_b,
+                "total_a_s": delta.self_a,
+                "total_b_s": delta.self_b,
+                "delta_s": delta.delta_s,
+            }
+            for delta in diff.deltas
+        ],
+    }
+
+
+def format_name_diff(diff: StackDiff, limit: int, hide_unchanged: bool) -> str:
+    """Fixed-width table of a span-name diff, |delta| first."""
+    label_a, label_b = diff.label_a, diff.label_b
+    rows = [
+        delta
+        for delta in diff.deltas
+        if not (hide_unchanged and delta.name_status == "unchanged")
+    ]
+    shown = rows[: limit if limit > 0 else len(rows)]
+    name_width = max([len(delta.stack) for delta in shown] + [len("span")])
+    lines = [
+        f"{'span':<{name_width}s} {'status':>9s} {'n(' + label_a + ')':>7s} "
+        f"{'n(' + label_b + ')':>7s} {'t(' + label_a + ')':>10s} "
+        f"{'t(' + label_b + ')':>10s} {'delta':>10s}"
+    ]
+    for delta in shown:
+        lines.append(
+            f"{delta.stack:<{name_width}s} {delta.name_status:>9s} "
+            f"{delta.count_a:7d} {delta.count_b:7d} "
+            f"{delta.self_a:10.4f} {delta.self_b:10.4f} "
+            f"{delta.delta_s:+10.4f}"
+        )
+    hidden = len(rows) - len(shown)
+    if hidden > 0:
+        lines.append(f"... {hidden} more span name(s) below the cutoff")
+    unchanged = len(diff.deltas) - len(rows)
+    if hide_unchanged and unchanged > 0:
+        lines.append(f"({unchanged} span name(s) identical in both traces)")
+    lines.append(
+        f"{'TOTAL':<{name_width}s} {'':>9s} {'':>7s} {'':>7s} "
+        f"{diff.total_a:10.4f} {diff.total_b:10.4f} "
+        f"{diff.total_b - diff.total_a:+10.4f}"
+    )
     return "\n".join(lines)
 
 

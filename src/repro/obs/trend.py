@@ -3,8 +3,8 @@
 The committed-baseline bench gate compares one fresh run against one
 blessed snapshot.  ``socrates obs trend`` upgrades that to a sliding
 window: the latest recorded run is judged against the robust
-median+MAD envelope of the N runs before it, using the same limit
-rule as :mod:`repro.bench.gate` —
+median+MAD envelope of the N runs before it, using the bench gate's
+limit rule (:meth:`repro.bench.stats.RobustStats.limit`, no floor) —
 
     limit = median + max(threshold * median, mad_k * MAD)
 
@@ -20,8 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.bench.stats import mad as _mad, median as _median
-from repro.obs.profile import FlameProfile, StackStat, diff_flame
+from repro.bench.gate import median_profile
+from repro.bench.scenarios import per_repeat_columns
+from repro.bench.stats import RobustStats
+from repro.obs.profile import FlameProfile, diff_flame
 from repro.obs.store import TelemetryStore
 
 #: Sliding-window defaults, mirroring the bench gate's spirit.
@@ -106,17 +108,6 @@ class TrendVerdict:
         return "\n".join(lines)
 
 
-def drift_limit(
-    samples: Sequence[float],
-    threshold: float = DEFAULT_THRESHOLD,
-    mad_k: float = DEFAULT_MAD_K,
-) -> float:
-    """The gate's robust upper envelope over a history sample."""
-    center = _median(list(samples))
-    spread = _mad(list(samples))
-    return center + max(threshold * center, mad_k * spread)
-
-
 def _metric_value(record: Mapping[str, object], metric: str) -> Optional[float]:
     metrics = record.get("metrics")
     if isinstance(metrics, dict) and metric in metrics:
@@ -139,26 +130,6 @@ def _load_profile(
     return None
 
 
-def _median_profile(profiles: Sequence[FlameProfile], label: str) -> FlameProfile:
-    """Per-stack median self-time over a history of profiles."""
-    samples: Dict[str, List[float]] = {}
-    counts: Dict[str, List[float]] = {}
-    for profile in profiles:
-        for stack, stat in profile.stacks.items():
-            samples.setdefault(stack, []).append(stat.self_s)
-            counts.setdefault(stack, []).append(float(stat.count))
-    merged = FlameProfile(label=label)
-    for stack, values in samples.items():
-        # Stacks absent from a run count as zero time there — a stack
-        # present in only one historical run should not set the bar.
-        while len(values) < len(profiles):
-            values.append(0.0)
-        merged.stacks[stack] = StackStat(
-            self_s=_median(values), count=int(_median(counts[stack]))
-        )
-    return merged
-
-
 def attribute_stacks(
     store: TelemetryStore,
     history: Sequence[Mapping[str, object]],
@@ -174,7 +145,10 @@ def attribute_stacks(
     latest_profile = _load_profile(store, latest, label="latest")
     if not base_profiles or latest_profile is None:
         return []
-    base = _median_profile(base_profiles, label="history")
+    # the per-stack history median, built like a bench run's repeats:
+    # a stack absent from a run counts as zero time there, so a stack
+    # present in only one historical run does not set the bar
+    base = median_profile(*per_repeat_columns(base_profiles))
     diff = diff_flame(base, latest_profile, label_a="history", label_b="latest")
     offenders = [
         StackAttribution(
@@ -216,10 +190,10 @@ def trend_over_runs(
     latest = carrying[-1]
     history = carrying[:-1][-window:]
     samples = [_metric_value(record, metric) for record in history]
-    values = [value for value in samples if value is not None]
-    center = _median(values)
-    spread = _mad(values)
-    limit = center + max(threshold * center, mad_k * spread)
+    envelope = RobustStats.from_samples(
+        [value for value in samples if value is not None]
+    )
+    limit = envelope.limit(threshold, mad_k)
     latest_value = _metric_value(latest, metric)
     assert latest_value is not None
     drift = latest_value > limit
@@ -231,8 +205,8 @@ def trend_over_runs(
         metric=metric,
         history=len(history),
         window=window,
-        median=center,
-        mad=spread,
+        median=envelope.median,
+        mad=envelope.mad,
         limit=limit,
         latest=latest_value,
         latest_run=str(latest.get("run_id", "")),

@@ -1,4 +1,4 @@
-"""Tests for the performance observatory: `repro.bench` + `repro.obs.diff`.
+"""Tests for the performance observatory: `repro.bench` + the span-name diff.
 
 Covers the robust statistics, the scenario harness, baseline
 persistence, the MAD-scaled regression gate (including an injected
@@ -18,6 +18,7 @@ from repro.bench import (
     BenchBaseline,
     RobustStats,
     SpanTimer,
+    StageBaseline,
     baseline_filename,
     compare_result,
     load_baseline,
@@ -32,12 +33,12 @@ from repro.bench.scenarios import all_scenarios, get_scenario, quick_scenarios
 from repro.cli import main
 from repro.obs import Observability
 from repro.obs.dashboard import live_dashboard, render_dashboard
-from repro.obs.diff import (
-    aggregate_spans,
-    diff_chrome_traces,
-    diff_span_lists,
-    format_diff,
-    profile_chrome_trace,
+from repro.obs.profile import (
+    FlameProfile,
+    diff_flame,
+    format_name_diff,
+    name_totals,
+    trace_name_totals,
 )
 from repro.obs.export import (
     chrome_trace,
@@ -94,6 +95,12 @@ class TestRobustStats:
         stats = RobustStats.from_samples([2.0, 1.0, 4.0])
         assert (stats.n, stats.median, stats.min, stats.max) == (3, 2.0, 1.0, 4.0)
         assert RobustStats.from_dict(stats.as_dict()) == stats
+
+    def test_limit_is_median_plus_largest_slack(self):
+        stats = RobustStats.from_samples([1.0, 2.0, 4.0])  # median 2, MAD 1
+        assert stats.limit(0.5, 6.0) == 8.0  # the MAD term dominates
+        assert stats.limit(0.5, 0.0) == 3.0  # the relative term
+        assert stats.limit(0.5, 0.0, floor=4.0) == 6.0  # the floor
 
     def test_from_dict_malformed(self):
         with pytest.raises(ValueError, match="malformed robust-stats"):
@@ -243,6 +250,11 @@ class TestBaseline:
         save_baseline(baseline, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_stage_mean_guards_zero_count(self):
+        total = RobustStats.from_samples([2.0, 2.0, 3.0])
+        assert StageBaseline(count=4, total_s=total).mean_s == 0.5
+        assert StageBaseline(count=0, total_s=total).mean_s == 0.0
+
     def test_load_rejects_garbage(self, tmp_path):
         missing = tmp_path / "nope.json"
         with pytest.raises(ValueError, match="cannot read"):
@@ -298,7 +310,7 @@ class TestGate:
         assert "'work:slow'" in text or "'bench:" in text.split("attributed")[1]
         # the trace diff ranks the slow span first among real changes
         assert report.diff is not None
-        top_names = [d.name for d in report.diff.deltas[:2]]
+        top_names = [d.stack for d in report.diff.deltas[:2]]
         assert "work:slow" in top_names
 
     def test_fingerprint_drift_fails_without_timing(self, synthetic_scenario):
@@ -353,62 +365,84 @@ def _spans(names_durations):
     return tracer.spans
 
 
+def _names(spans):
+    """The span-name view of live spans."""
+    return name_totals((span.name, span.duration_s) for span in spans)
+
+
 class TestTraceDiff:
     def test_identical_traces_diff_to_exactly_zero(self):
-        spans = _spans([("a", 1.0), ("b", 2.0), ("a", 0.5)])
-        diff = diff_span_lists(spans, spans)
-        assert diff.total_delta_s == 0.0
-        assert all(delta.status == "unchanged" for delta in diff.deltas)
+        names = _names(_spans([("a", 1.0), ("b", 2.0), ("a", 0.5)]))
+        diff = diff_flame(names, names)
+        assert diff.total_b - diff.total_a == 0.0
+        assert all(delta.name_status == "unchanged" for delta in diff.deltas)
         assert all(delta.delta_s == 0.0 for delta in diff.deltas)
 
     def test_aggregation_counts_and_totals(self):
-        aggregates = aggregate_spans(_spans([("a", 1.0), ("a", 2.0), ("b", 4.0)]))
-        assert aggregates["a"].count == 2
-        assert aggregates["a"].total_s == pytest.approx(3.0)
-        assert aggregates["a"].mean_s == pytest.approx(1.5)
+        names = _names(_spans([("a", 1.0), ("a", 2.0), ("b", 4.0)]))
+        assert names.stacks["a"].count == 2
+        assert names.stacks["a"].self_s == pytest.approx(3.0)
+        assert names.stacks["a"].self_s / names.stacks["a"].count == pytest.approx(1.5)
 
     def test_added_removed_changed_sorted_by_delta(self):
-        diff = diff_span_lists(
-            _spans([("gone", 1.0), ("same", 1.0), ("grew", 1.0)]),
-            _spans([("same", 1.0), ("grew", 4.0), ("new", 0.5)]),
+        diff = diff_flame(
+            _names(_spans([("gone", 1.0), ("same", 1.0), ("grew", 1.0)])),
+            _names(_spans([("same", 1.0), ("grew", 4.0), ("new", 0.5)])),
         )
-        statuses = {delta.name: delta.status for delta in diff.deltas}
+        statuses = {delta.stack: delta.name_status for delta in diff.deltas}
         assert statuses == {
             "gone": "removed",
             "same": "unchanged",
             "grew": "changed",
             "new": "added",
         }
-        assert diff.deltas[0].name == "grew"  # |+3.0| is the largest
-        assert diff.total_delta_s == pytest.approx(2.5)
-        assert [d.name for d in diff.by_status("added")] == ["new"]
+        assert diff.deltas[0].stack == "grew"  # |+3.0| is the largest
+        assert diff.total_b - diff.total_a == pytest.approx(2.5)
+        added = [d.stack for d in diff.deltas if d.name_status == "added"]
+        assert added == ["new"]
 
     def test_chrome_trace_round_trip(self, tmp_path):
         spans = _spans([("x", 1.0), ("y", 0.25), ("x", 0.75)])
         path = tmp_path / "trace.json"
         write_chrome_trace(spans, path)
-        profile = profile_chrome_trace(path)
-        assert profile["x"].count == 2
-        assert profile["x"].total_s == pytest.approx(1.75)
-        diff = diff_chrome_traces(path, path)
-        assert diff.total_delta_s == 0.0
+        profile = trace_name_totals(path)
+        assert profile.stacks["x"].count == 2
+        assert profile.stacks["x"].self_s == pytest.approx(1.75)
+        diff = diff_flame(trace_name_totals(path), trace_name_totals(path))
+        assert diff.total_b - diff.total_a == 0.0
 
     def test_profile_rejects_garbage(self, tmp_path):
         with pytest.raises(ValueError, match="cannot read"):
-            profile_chrome_trace(tmp_path / "nope.json")
+            trace_name_totals(tmp_path / "nope.json")
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         with pytest.raises(ValueError, match="traceEvents"):
-            profile_chrome_trace(bad)
+            trace_name_totals(bad)
 
     def test_format_diff_table(self):
-        diff = diff_span_lists(
-            _spans([("alpha", 1.0)]), _spans([("alpha", 3.0)])
+        diff = diff_flame(
+            _names(_spans([("alpha", 1.0)])),
+            _names(_spans([("alpha", 3.0)])),
+            label_a="base",
+            label_b="new",
         )
-        text = format_diff(diff, label_a="base", label_b="new")
+        text = format_name_diff(diff, limit=20, hide_unchanged=True)
         assert "t(base)" in text and "t(new)" in text
         assert "alpha" in text and "+2.0000" in text
         assert text.splitlines()[-1].startswith("TOTAL")
+
+    def test_name_totals_sum_durations_not_stack_containment(self):
+        tracer = Tracer(clock=FakeClock(step=0.0))
+        clock = tracer._clock
+        with tracer.span("a"):
+            clock.now += 1.0
+            with tracer.span("a"):  # recursion
+                clock.now += 2.0
+        names = _names(tracer.spans)
+        assert names.stacks["a"].count == 2
+        assert names.stacks["a"].self_s == 5.0  # outer 3.0 + inner 2.0
+        # the flame table counts each stack's self time once per name
+        assert FlameProfile.from_spans(tracer.spans).names()["a"].total_s == 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +460,9 @@ class TestExporterEdgeCases:
         # rejects such a file (an empty trace means broken instrumentation)
         with pytest.raises(ValueError, match="no span events"):
             validate_chrome_trace(path)
-        assert profile_chrome_trace(path) == {}
+        # ...and so does the span-name view, like every trace reader
+        with pytest.raises(ValueError, match="no complete"):
+            trace_name_totals(path)
 
     def test_open_spans_excluded_at_export_time(self):
         tracer = Tracer(clock=FakeClock())
@@ -745,6 +781,29 @@ class TestObsCli:
         missing = tmp_path / "nope.json"
         assert main(["obs", "diff", str(missing), str(missing)]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["flame", "diff"])
+    @pytest.mark.parametrize(
+        "events, reason",
+        [
+            # a complete event without its timestamp
+            ([{"name": "a", "ph": "X", "dur": 1.0, "pid": 1, "tid": 0}], "lacks 'ts'"),
+            # metadata only: no complete span events at all
+            (chrome_trace([])["traceEvents"], "no complete"),
+        ],
+    )
+    def test_malformed_trace_is_named_exit_2(
+        self, tmp_path, capsys, command, events, reason
+    ):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"traceEvents": events}))
+        if command == "flame":
+            argv = ["obs", "flame", "--trace", str(path)]
+        else:
+            argv = ["obs", "diff", str(path), str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and reason in err
 
     def test_obs_top_once_from_prom_file(self, tmp_path, capsys):
         registry = MetricsRegistry()

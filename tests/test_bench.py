@@ -10,6 +10,7 @@ Prometheus exporter, the dashboard renderer, and the ``socrates bench``
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -1230,3 +1231,33 @@ class TestDiffGoldens:
         )
         assert json.dumps(attribution["diff"]) == _GOLDEN_FLIGHT_DIFF
         assert attribution["diff_top"] == "stage:slow"
+
+
+# ---------------------------------------------------------------------------
+# the adaptive scenarios against their committed baselines
+# ---------------------------------------------------------------------------
+
+_BASELINE_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "baselines"
+
+
+class TestAdaptiveScenarioBaselines:
+    """One repeat of each adaptive scenario reproduces its committed
+    ``BENCH_*.json`` fingerprint exactly and its energy columns within
+    1e-6 relative — the work-amount half of the CI bench gate."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "adaptation_loop",
+            "biglittle_power_cap",
+            "alerting_overhead",
+            "profiling_overhead",
+        ],
+    )
+    def test_matches_committed_baseline(self, name):
+        baseline = load_baseline(_BASELINE_DIR / f"BENCH_{name}.json")
+        result = run_scenario(name, repeats=1)
+        assert result.fingerprint == baseline.fingerprint
+        assert sorted(result.energy_j) == sorted(baseline.energy_j)
+        for domain, joules in baseline.energy_j.items():
+            assert result.energy_j[domain] == pytest.approx(joules, rel=1e-6)

@@ -101,6 +101,17 @@ def _quick_toolflow(obs: Observability, **kwargs):
     )
 
 
+def _fig5_workload(obs: Observability):
+    """Quick build of mvt plus 3 virtual seconds of the Figure 5
+    requirement flip; returns ``(toolflow, app, records)``."""
+    from repro.core.scenario import fig5_flip
+    from repro.polybench.suite import load
+
+    flow = _quick_toolflow(obs)
+    app = flow.build(load("mvt")).adaptive
+    return flow, app, fig5_flip(app, 3.0).run(app)
+
+
 @register(
     "single_build",
     "full Figure 1 toolflow for one app (2mm), reduced thread sweep",
@@ -185,7 +196,7 @@ def _run_dse_exploration(obs: Observability) -> Dict[str, object]:
 def _run_dse_exploration_pruned(obs: Observability) -> Dict[str, object]:
     from repro.analysis.cost import build_prune_plan
     from repro.dse.explorer import DesignSpace, DesignSpaceExplorer
-    from repro.dse.pareto import pareto_front
+    from repro.dse.pareto import canonical_front, pareto_front
     from repro.engine.core import EvaluationEngine
     from repro.gcc.flags import standard_levels
     from repro.polybench.suite import load
@@ -217,18 +228,6 @@ def _run_dse_exploration_pruned(obs: Observability) -> Dict[str, object]:
     )
     pruned_engine, _, pruned, pruned_front = leg(plan)
 
-    def keys(front):
-        return [
-            (
-                tuple(sorted(op.knobs.items())),
-                tuple(
-                    (name, stats.mean, stats.std)
-                    for name, stats in sorted(op.metrics.items())
-                ),
-            )
-            for op in front
-        ]
-
     counters = pruned_engine.counters
     audit_records = len(obs.audit.prunes) if obs.audit is not None else 0
     return {
@@ -237,7 +236,9 @@ def _run_dse_exploration_pruned(obs: Observability) -> Dict[str, object]:
         "points_masked": counters.points_masked,
         "pruned_points": pruned.pruned_points,
         "points_evaluated": counters.points_evaluated,
-        "fronts_identical": keys(full_front) == keys(pruned_front),
+        "fronts_identical": (
+            canonical_front(full_front) == canonical_front(pruned_front)
+        ),
         "front_size": len(pruned_front),
         "audit_records": audit_records,
     }
@@ -270,27 +271,7 @@ def _run_cobayn_corpus(obs: Observability) -> Dict[str, object]:
     "a fig5-style requirement flip (~6k invocations)",
 )
 def _run_adaptation_loop(obs: Observability) -> Dict[str, object]:
-    from repro.core.scenario import Phase, Scenario
-    from repro.margot.state import (
-        OptimizationState,
-        maximize_throughput,
-        maximize_throughput_per_watt_squared,
-    )
-    from repro.polybench.suite import load
-
-    flow = _quick_toolflow(obs)
-    result = flow.build(load("mvt"))
-    app = result.adaptive
-    app.add_state(
-        OptimizationState("Thr/W^2", rank=maximize_throughput_per_watt_squared()),
-        activate=True,
-    )
-    app.add_state(OptimizationState("Throughput", rank=maximize_throughput()))
-    scenario = Scenario(
-        phases=[Phase(0.0, "Thr/W^2"), Phase(1.0, "Throughput"), Phase(2.0, "Thr/W^2")],
-        duration_s=3.0,
-    )
-    records = scenario.run(app)
+    flow, app, records = _fig5_workload(obs)
     obs.absorb_engine(flow.engine)
     obs.absorb_monitors(app.manager.monitors)
     # the virtual-RAPL energy columns: recorded as metrics (picked up
@@ -314,36 +295,13 @@ def _run_adaptation_loop(obs: Observability) -> Dict[str, object]:
     "(slow-and-steady); ledger verified per cluster domain",
 )
 def _run_biglittle_power_cap(obs: Observability) -> Dict[str, object]:
-    from repro.core.scenario import Phase, Scenario
-    from repro.margot.goal import ComparisonFunction, Goal
-    from repro.margot.state import (
-        Constraint,
-        OptimizationState,
-        maximize_throughput,
-    )
+    from repro.core.scenario import power_cap_flip
     from repro.obs.energy import EnergyLedger, build_timeline
     from repro.polybench.suite import load
 
     flow = _quick_toolflow(obs, machine="biglittle_4p4e")
-    result = flow.build(load("mvt"))
-    app = result.adaptive
-    app.add_state(
-        OptimizationState("Throughput", rank=maximize_throughput()), activate=True
-    )
-    capped = OptimizationState("PowerCap", rank=maximize_throughput())
-    capped.add_constraint(
-        Constraint(Goal("power", ComparisonFunction.LESS_OR_EQUAL, 22.0))
-    )
-    app.add_state(capped)
-    scenario = Scenario(
-        phases=[
-            Phase(0.0, "Throughput"),
-            Phase(1.0, "PowerCap"),
-            Phase(2.0, "Throughput"),
-        ],
-        duration_s=3.0,
-    )
-    records = scenario.run(app)
+    app = flow.build(load("mvt")).adaptive
+    records = power_cap_flip(app, 22.0, 3.0).run(app)
     obs.absorb_engine(flow.engine)
     obs.absorb_monitors(app.manager.monitors)
     timeline = build_timeline(app, records)
@@ -377,35 +335,8 @@ def _run_biglittle_power_cap(obs: Observability) -> Dict[str, object]:
 def _run_alerting_overhead(obs: Observability) -> Dict[str, object]:
     import time as _time
 
-    from repro.core.scenario import Phase, Scenario
-    from repro.margot.state import (
-        OptimizationState,
-        maximize_throughput,
-        maximize_throughput_per_watt_squared,
-    )
     from repro.obs.alerts import AlertPolicy
     from repro.obs.energy import EnergyBudget
-    from repro.polybench.suite import load
-
-    def run_workload(inner: Observability):
-        flow = _quick_toolflow(inner)
-        app = flow.build(load("mvt")).adaptive
-        app.add_state(
-            OptimizationState(
-                "Thr/W^2", rank=maximize_throughput_per_watt_squared()
-            ),
-            activate=True,
-        )
-        app.add_state(OptimizationState("Throughput", rank=maximize_throughput()))
-        scenario = Scenario(
-            phases=[
-                Phase(0.0, "Thr/W^2"),
-                Phase(1.0, "Throughput"),
-                Phase(2.0, "Thr/W^2"),
-            ],
-            duration_s=3.0,
-        )
-        return flow, scenario.run(app)
 
     # Each leg gets its OWN identically-seeded toolflow: sharing one
     # engine would let the first leg advance shared RNG state and
@@ -441,11 +372,11 @@ def _run_alerting_overhead(obs: Observability) -> Dict[str, object]:
         probe = AlertOverheadProbe(engine).install()
         with obs.tracer.span("overhead:alerting"):
             started = pc()
-            flow_alert, records_alert = run_workload(alert_obs)
+            flow_alert, _, records_alert = _fig5_workload(alert_obs)
             total_s = pc() - started
         ratios.append(probe.overhead_ratio(total_s))
     with obs.tracer.span("overhead:baseline"):
-        _, records_plain = run_workload(Observability())
+        _, _, records_plain = _fig5_workload(Observability())
     ratio = min(ratios)
     obs.metrics.gauge(
         "socrates_bench_ratio",
@@ -473,12 +404,6 @@ def _run_alerting_overhead(obs: Observability) -> Dict[str, object]:
 def _run_profiling_overhead(obs: Observability) -> Dict[str, object]:
     import time as _time
 
-    from repro.core.scenario import Phase, Scenario
-    from repro.margot.state import (
-        OptimizationState,
-        maximize_throughput,
-        maximize_throughput_per_watt_squared,
-    )
     from repro.obs.profile import (
         CONSERVATION_TOL,
         FlameProfile,
@@ -487,27 +412,6 @@ def _run_profiling_overhead(obs: Observability) -> Dict[str, object]:
         total_virtual_s,
         whatif,
     )
-    from repro.polybench.suite import load
-
-    def run_workload(inner: Observability):
-        flow = _quick_toolflow(inner)
-        app = flow.build(load("mvt")).adaptive
-        app.add_state(
-            OptimizationState(
-                "Thr/W^2", rank=maximize_throughput_per_watt_squared()
-            ),
-            activate=True,
-        )
-        app.add_state(OptimizationState("Throughput", rank=maximize_throughput()))
-        scenario = Scenario(
-            phases=[
-                Phase(0.0, "Thr/W^2"),
-                Phase(1.0, "Throughput"),
-                Phase(2.0, "Thr/W^2"),
-            ],
-            duration_s=3.0,
-        )
-        return flow, scenario.run(app)
 
     # Same measurement discipline as alerting_overhead: numerator and
     # denominator share one leg's clock and interference window, two
@@ -525,7 +429,7 @@ def _run_profiling_overhead(obs: Observability) -> Dict[str, object]:
         inner = Observability()
         with obs.tracer.span("overhead:workload"):
             started = pc()
-            flow, records = run_workload(inner)
+            _, _, records = _fig5_workload(inner)
             workload_s = pc() - started
         leg_records.append(records)
         spans = inner.tracer.spans

@@ -26,10 +26,64 @@ so ``main`` is directly testable.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
+import math
 import sys
 from typing import List, Optional, Sequence
 
 import numpy as np
+
+
+def _positive(convert, expected: str):
+    """An argparse type: ``convert(text)``, rejected unless finite and
+    > 0.  argparse prefixes the flag to the message."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = 0
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_pool_size = _positive(int, "a positive process-pool size (max_workers)")
+_seconds = _positive(float, "a positive number of seconds")
+
+
+def _thread_counts(text: str) -> List[int]:
+    """--threads: comma-separated positive counts, sorted and deduplicated."""
+    tokens = [token.strip() for token in text.split(",")]
+    if not all(token.isdecimal() and int(token) > 0 for token in tokens):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated positive integers, got {text!r}"
+        )
+    return sorted({int(token) for token in tokens})
+
+
+def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--workers",
+        type=_pool_size,
+        help="evaluate design points on a process pool of this size",
+    )
+
+
+def _add_dse_arguments(
+    parser: argparse.ArgumentParser,
+    workers: bool = False,
+    repetitions: int = 3,
+    threads_help: str = "comma-separated thread counts for the DSE",
+) -> None:
+    """--threads and --repetitions of the toolflow's DSE (then --workers)."""
+    parser.add_argument("--threads", type=_thread_counts, help=threads_help)
+    parser.add_argument("--repetitions", type=int, default=repetitions)
+    if workers:
+        _add_workers_argument(parser)
 
 
 def _add_app_argument(parser: argparse.ArgumentParser) -> None:
@@ -74,12 +128,35 @@ def _make_obs(args: argparse.Namespace):
     return None
 
 
+def _run_obs(args: argparse.Namespace):
+    """The Observability a command runs under.
+
+    With ``--store`` it is the deterministic virtual-clock one, so the
+    recorded run id and artifact hashes are pure functions of (source,
+    machine, seed, knobs); otherwise whatever the obs flags ask for.
+    """
+    if getattr(args, "store", None):
+        from repro.obs.store import recording_observability
+
+        return recording_observability()
+    return _make_obs(args)
+
+
+def _note_recorded(kind: str, store_dir, recorded) -> None:
+    """The stderr notice for a ``(run_id, created)`` warehouse record."""
+    run_id, created = recorded
+    verb = "recorded" if created else "already recorded"
+    print(f"{verb} {kind} run {run_id} in {store_dir}", file=sys.stderr)
+
+
+def _print_json_line(document) -> None:
+    """Machine mode: one line, stable key order, no screen-scraping."""
+    print(json.dumps(document, sort_keys=True, separators=(",", ":")))
+
+
 def _toolflow(args: argparse.Namespace, obs=None):
     from repro.core.toolflow import SocratesToolflow
 
-    threads = None
-    if getattr(args, "threads", None):
-        threads = sorted({int(t) for t in args.threads.split(",")})
     backend = None
     if getattr(args, "workers", None):
         from repro.engine import ProcessPoolBackend
@@ -91,7 +168,7 @@ def _toolflow(args: argparse.Namespace, obs=None):
     return SocratesToolflow(
         machine=getattr(args, "machine", None),
         dse_repetitions=getattr(args, "repetitions", 3),
-        thread_counts=threads,
+        thread_counts=getattr(args, "threads", None),
         backend=backend,
         obs=obs,
         **kwargs,
@@ -156,19 +233,31 @@ def _standard_space(machine):
     )
 
 
-def _pareto_keys(front):
-    """Canonical (knobs, metrics) form of a Pareto front for equality
-    checks — bit-exact means/stds, stable ordering."""
-    return [
-        {
-            "knobs": dict(op.knobs),
-            "metrics": {
-                name: [stats.mean, stats.std]
-                for name, stats in sorted(op.metrics.items())
-            },
-        }
-        for op in front
-    ]
+def _explore_front(args: argparse.Namespace, app, obs, plan, seed, root_span):
+    """One seeded exploration of ``app`` over the standard space on a
+    fresh engine, and its throughput/power Pareto front.
+
+    ``root_span``, when set, names a span around the profiling and the
+    exploration.  Returns ``(engine, exploration, front)``.
+    """
+    from repro.dse.explorer import DesignSpaceExplorer
+    from repro.dse.pareto import pareto_front
+    from repro.engine.core import EvaluationEngine
+
+    engine = EvaluationEngine(machine=getattr(args, "machine", None), obs=obs)
+    explorer = DesignSpaceExplorer(
+        engine.compiler,
+        engine.executor,
+        engine.omp,
+        repetitions=args.repetitions,
+        engine=engine,
+    )
+    with obs.tracer.span(root_span) if root_span else contextlib.nullcontext():
+        profile = engine.profile(app)
+        space = _standard_space(engine.machine)
+        result = explorer.explore(profile, space, seed=seed, prune_plan=plan)
+    front = pareto_front(result.knowledge, [("throughput", True), ("power", False)])
+    return engine, result, front
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +324,9 @@ def cmd_weave(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    import json
-
     json_mode = getattr(args, "json", False)
     store_dir = getattr(args, "store", None)
-    if store_dir:
-        # warehouse mode: the build runs under the deterministic
-        # virtual tracer clock so the recorded run id and artifact
-        # hashes are pure functions of (source, machine, seed, knobs)
-        from repro.obs.store import recording_observability
-
-        obs = recording_observability()
-    else:
-        obs = _make_obs(args)
+    obs = _run_obs(args)
     flow = _toolflow(args, obs=obs)
     app = _load_app(args.app)
     if not json_mode:
@@ -256,18 +335,20 @@ def cmd_build(args: argparse.Namespace) -> int:
         with obs.tracer.span(f"build:{app.name}") as build_span:
             result = flow.build(app)
         obs.absorb_engine(flow.engine)
-        run_id, created = _store_build_run(
-            _open_store(store_dir),
-            flow,
-            app,
-            result,
-            obs,
-            build_span.duration_s,
-            getattr(args, "store_label", "") or "",
-            {},
+        _note_recorded(
+            "build",
+            store_dir,
+            _store_build_run(
+                _open_store(store_dir),
+                flow,
+                app,
+                result,
+                obs,
+                build_span.duration_s,
+                args.store_label,
+                {},
+            ),
         )
-        verb = "recorded" if created else "already recorded"
-        print(f"{verb} build run {run_id} in {store_dir}", file=sys.stderr)
     else:
         result = flow.build(app)
     if not json_mode:
@@ -312,8 +393,6 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     """Build an app and dump the stage-event + engine-cache telemetry."""
-    import json
-
     flow = _toolflow(args)
     app = _load_app(args.app)
     result = flow.build(app)
@@ -324,8 +403,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "engine": flow.engine.stats(),
     }
     if getattr(args, "json", False):
-        # machine mode: one line, stable key order, no screen-scraping
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        _print_json_line(payload)
     else:
         print(json.dumps(payload, indent=2))
     return 0
@@ -336,25 +414,17 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.core.trace import summarize_phases, trace_to_csv
     from repro.margot.config import apply_configuration, load_config
 
-    import contextlib
-
     config = load_config(args.config)
     store_dir = getattr(args, "store", None)
-    if store_dir:
-        from repro.obs.store import recording_observability
-
-        obs = recording_observability()
-    else:
-        obs = _make_obs(args)
+    obs = _run_obs(args)
     flow = _toolflow(args, obs=obs)
     app_def = _load_app(config.kernel)
     print(f"Building adaptive {config.kernel}...")
-    with contextlib.ExitStack() as stack:
-        trace_span = (
-            stack.enter_context(obs.tracer.span(f"trace:{config.kernel}"))
-            if store_dir
-            else None
-        )
+    with (
+        obs.tracer.span(f"trace:{config.kernel}")
+        if store_dir
+        else contextlib.nullcontext()
+    ) as trace_span:
         result = flow.build(app_def)
         app = result.adaptive
         apply_configuration(config, app)
@@ -377,12 +447,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
         with open(args.config, "rb") as handle:
             config_sha = hashlib.sha256(handle.read()).hexdigest()
         blobs, derivations = _warehouse_artifacts(obs)
-        run_id, created = _open_store(store_dir).record(
+        recorded = _open_store(store_dir).record(
             "trace",
             app=config.kernel,
             machine=machine,
             seed=seed,
-            label=getattr(args, "store_label", "") or "",
+            label=args.store_label,
             source=app_def.source_fingerprint(),
             knobs={
                 **identity,
@@ -397,8 +467,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             artifacts=blobs,
             derivations=derivations,
         )
-        verb = "recorded" if created else "already recorded"
-        print(f"{verb} trace run {run_id} in {store_dir}", file=sys.stderr)
+        _note_recorded("trace", store_dir, recorded)
     for summary in summarize_phases(records, scenario):
         print(
             f"  [{summary.start_s:6.1f}-{summary.end_s:6.1f}s] {summary.state:14s} "
@@ -529,16 +598,13 @@ def cmd_check(args: argparse.Namespace) -> int:
     or ``--out FILE``.  ``--prune-plan FILE`` (single app) compiles
     the static verdicts into a lattice prune plan for ``socrates dse``.
     """
-    import json
-
     from repro.analysis import CheckReport, check_app, check_source_text
 
     include_woven = not args.pristine_only
     obs = _make_obs(args)
     if args.source:
         if getattr(args, "prune_plan", None):
-            print("error: --prune-plan needs a benchmark app", file=sys.stderr)
-            return 2
+            raise ValueError("--prune-plan needs a benchmark app")
         with open(args.source) as handle:
             text = handle.read()
         report = CheckReport()
@@ -549,11 +615,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
             apps = all_apps()
             if getattr(args, "prune_plan", None):
-                print(
-                    "error: --prune-plan needs a single benchmark, not --all",
-                    file=sys.stderr,
-                )
-                return 2
+                raise ValueError("--prune-plan needs a single benchmark, not --all")
         else:
             apps = [_load_app(args.app)]
         report = CheckReport()
@@ -598,11 +660,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 f"({plan.masked_fraction():.0%}), trusted={plan.trusted}"
             )
     else:
-        print(
-            "error: name a benchmark, or use --all / --source FILE",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError("name a benchmark, or use --all / --source FILE")
 
     if obs is not None:
         _write_obs_artifacts(obs, args)
@@ -635,42 +693,11 @@ def cmd_dse(args: argparse.Namespace) -> int:
     a fresh engine and fails (exit 1) unless both seeded Pareto fronts
     are bit-identical — the soundness gate CI runs.
     """
-    import json
-
-    from repro.dse.explorer import DesignSpaceExplorer
-    from repro.dse.pareto import pareto_front
-    from repro.engine.core import EvaluationEngine
+    from repro.dse.pareto import canonical_front
     from repro.obs import Observability
 
     app = _load_app(args.app)
-    machine = getattr(args, "machine", None)
     store_dir = getattr(args, "store", None)
-
-    def explore(plan, recording=False):
-        if recording:
-            from repro.obs.store import recording_observability
-
-            obs = recording_observability()
-        else:
-            obs = Observability()
-        engine = EvaluationEngine(machine=machine, obs=obs)
-        explorer = DesignSpaceExplorer(
-            engine.compiler,
-            engine.executor,
-            engine.omp,
-            repetitions=args.repetitions,
-            engine=engine,
-        )
-        profile = engine.profile(app)
-        space = _standard_space(engine.machine)
-        result = explorer.explore(
-            profile, space, seed=args.seed, prune_plan=plan
-        )
-        front = pareto_front(
-            result.knowledge, [("throughput", True), ("power", False)]
-        )
-        return engine, result, front, obs
-
     plan = None
     if getattr(args, "prune_plan", None):
         from repro.analysis.cost import PrunePlan
@@ -678,19 +705,16 @@ def cmd_dse(args: argparse.Namespace) -> int:
         with open(args.prune_plan) as handle:
             plan = PrunePlan.from_dict(json.load(handle))
         if plan.app != app.name:
-            print(
-                f"error: prune plan is for {plan.app!r}, not {app.name!r}",
-                file=sys.stderr,
-            )
-            return 2
+            raise ValueError(f"prune plan is for {plan.app!r}, not {app.name!r}")
     elif args.prune:
         from repro.analysis.cost import build_prune_plan
         from repro.machine.registry import resolve_machine
 
-        resolved = resolve_machine(machine)
+        resolved = resolve_machine(getattr(args, "machine", None))
         plan = build_prune_plan(app, _standard_space(resolved), machine=resolved)
 
-    engine, result, front, obs = explore(plan, recording=bool(store_dir))
+    obs = _run_obs(args) or Observability()
+    engine, result, front = _explore_front(args, app, obs, plan, args.seed, None)
     counters = engine.counters
     if store_dir:
         knobs = {
@@ -698,33 +722,27 @@ def cmd_dse(args: argparse.Namespace) -> int:
             "pruned": plan is not None,
             "slowdowns": [],
         }
-        wall = sum(
-            span.duration_s for span in obs.tracer.spans if span.parent_id is None
-        )
-        blobs, derivations = _warehouse_artifacts(obs)
-        run_id, created = _open_store(store_dir).record(
+        _note_recorded(
             "dse",
-            app=app.name,
-            machine=engine.machine.name,
-            seed=args.seed,
-            label=getattr(args, "store_label", "") or "",
-            source=app.source_fingerprint(),
-            knobs=knobs,
-            metrics={
-                "wall_s": wall,
-                "points_evaluated": counters.points_evaluated,
-                "front_size": len(front),
-                "space_size": result.space_size,
-            },
-            artifacts=blobs,
-            derivations=derivations,
+            store_dir,
+            _store_dse_run(
+                _open_store(store_dir),
+                app,
+                args.seed,
+                args.store_label,
+                knobs,
+                obs,
+                engine,
+                result,
+                front,
+            ),
         )
-        verb = "recorded" if created else "already recorded"
-        print(f"{verb} dse run {run_id} in {store_dir}", file=sys.stderr)
     fronts_identical = None
     if args.verify_front:
-        _, baseline_result, baseline_front, _ = explore(None)
-        fronts_identical = _pareto_keys(front) == _pareto_keys(baseline_front)
+        _, _, baseline_front = _explore_front(
+            args, app, Observability(), None, args.seed, None
+        )
+        fronts_identical = canonical_front(front) == canonical_front(baseline_front)
 
     document = {
         "app": app.name,
@@ -736,7 +754,7 @@ def cmd_dse(args: argparse.Namespace) -> int:
         "pruned_points": result.pruned_points,
         "prune_audit_records": len(obs.audit.prunes) if obs.audit is not None else 0,
         "front_size": len(front),
-        "front": _pareto_keys(front),
+        "front": canonical_front(front),
         "pruned": plan is not None,
         "fronts_identical": fronts_identical,
     }
@@ -767,35 +785,20 @@ def _fig5_scenario(args: argparse.Namespace, obs):
     and warehouse ``trace`` records: Thr/W^2 for the first third of
     ``--duration``, plain Throughput for the middle third, Thr/W^2
     again for the last.  Returns ``(toolflow_result, app, records,
-    toolflow)``.
+    toolflow)``.  Progress notices go to stderr so they never corrupt
+    a --json document on stdout.
     """
-    from repro.core.scenario import Phase, Scenario
-    from repro.margot.state import (
-        OptimizationState,
-        maximize_throughput,
-        maximize_throughput_per_watt_squared,
-    )
+    from repro.core.scenario import fig5_flip
 
     flow = _toolflow(args, obs=obs)
     app_def = _load_app(args.app)
-    print(f"Building adaptive {app_def.name} (traced)...")
+    print(f"Building adaptive {app_def.name} (traced)...", file=sys.stderr)
     result = flow.build(app_def)
     app = result.adaptive
-    app.add_state(
-        OptimizationState("Thr/W^2", rank=maximize_throughput_per_watt_squared()),
-        activate=True,
+    scenario = fig5_flip(app, args.duration)
+    print(
+        f"Running fig5-style scenario for {args.duration:.0f}s...", file=sys.stderr
     )
-    app.add_state(OptimizationState("Throughput", rank=maximize_throughput()))
-    third = args.duration / 3.0
-    scenario = Scenario(
-        phases=[
-            Phase(0.0, "Thr/W^2"),
-            Phase(third, "Throughput"),
-            Phase(2 * third, "Thr/W^2"),
-        ],
-        duration_s=args.duration,
-    )
-    print(f"Running fig5-style scenario for {args.duration:.0f}s...")
     records = scenario.run(app)
     obs.absorb_engine(flow.engine)
     obs.absorb_monitors(app.manager.monitors)
@@ -896,8 +899,6 @@ def cmd_obs_validate(args: argparse.Namespace) -> int:
 
 def cmd_obs_diff(args: argparse.Namespace) -> int:
     """Span-level diff of two Chrome trace exports."""
-    import json
-
     from repro.obs.profile import (
         diff_flame,
         format_name_diff,
@@ -909,9 +910,7 @@ def cmd_obs_diff(args: argparse.Namespace) -> int:
         trace_name_totals(args.trace_a), trace_name_totals(args.trace_b)
     )
     if args.json:
-        # machine mode, matching `socrates stats --json`: one line,
-        # stable key order, no screen-scraping
-        print(json.dumps(name_diff_dict(diff), sort_keys=True, separators=(",", ":")))
+        _print_json_line(name_diff_dict(diff))
         return 0
     print(f"trace diff: a={args.trace_a}  b={args.trace_b}")
     print(
@@ -928,7 +927,6 @@ def _load_flame_profile(path):
     ``.folded`` text, a ``socrates-profile/1`` JSON document, or a raw
     Chrome trace export (which is collapsed on the fly).
     """
-    import json
     from pathlib import Path
 
     from repro.obs.profile import PROFILE_SCHEMA, FlameProfile
@@ -992,7 +990,6 @@ def _profile_source(args: argparse.Namespace):
 
 def cmd_obs_flame(args: argparse.Namespace) -> int:
     """Virtual-time flame graph: table, folded, JSON, SVG, or diffs."""
-    import json
     from pathlib import Path
 
     from repro.obs.profile import (
@@ -1072,8 +1069,6 @@ def cmd_obs_flame(args: argparse.Namespace) -> int:
 
 def cmd_obs_whatif(args: argparse.Namespace) -> int:
     """Causal what-if: ranked payoff of speeding up each target."""
-    import json
-
     from repro.obs.profile import DEFAULT_SPEEDUPS, whatif
 
     speedups = tuple(DEFAULT_SPEEDUPS)
@@ -1158,13 +1153,7 @@ def cmd_obs_incidents_record(args: argparse.Namespace) -> int:
     """
     from pathlib import Path
 
-    from repro.core.scenario import Phase, Scenario
-    from repro.margot.goal import ComparisonFunction, Goal
-    from repro.margot.state import (
-        Constraint,
-        OptimizationState,
-        maximize_throughput,
-    )
+    from repro.core.scenario import power_cap_flip
     from repro.obs import Observability
     from repro.obs.alerts import AlertPolicy
     from repro.obs.energy import EnergyBudget
@@ -1184,25 +1173,8 @@ def cmd_obs_incidents_record(args: argparse.Namespace) -> int:
     flow = _toolflow(args, obs=obs)
     app_def = _load_app(args.app)
     print(f"Building adaptive {app_def.name} on {flow.machine.name} (alerting)...")
-    result = flow.build(app_def)
-    app = result.adaptive
-    app.add_state(
-        OptimizationState("Throughput", rank=maximize_throughput()), activate=True
-    )
-    capped = OptimizationState("PowerCap", rank=maximize_throughput())
-    capped.add_constraint(
-        Constraint(Goal("power", ComparisonFunction.LESS_OR_EQUAL, args.power_cap))
-    )
-    app.add_state(capped)
-    third = args.duration / 3.0
-    scenario = Scenario(
-        phases=[
-            Phase(0.0, "Throughput"),
-            Phase(third, "PowerCap"),
-            Phase(2 * third, "Throughput"),
-        ],
-        duration_s=args.duration,
-    )
+    app = flow.build(app_def).adaptive
+    scenario = power_cap_flip(app, args.power_cap, args.duration)
     print(
         f"Injecting power-cap violation: Throughput phases exceed the "
         f"{args.power_budget:g} W budget, PowerCap holds {args.power_cap:g} W..."
@@ -1254,8 +1226,6 @@ def cmd_obs_incidents_list(args: argparse.Namespace) -> int:
 
 def cmd_obs_incidents_show(args: argparse.Namespace) -> int:
     """Dump one bundle (JSON, schema-complete)."""
-    import json
-
     document = _resolve_incident(args)
     print(json.dumps(document, indent=2, sort_keys=True))
     return 0
@@ -1486,42 +1456,11 @@ def _record_build_run(args, store, slowdowns, label):
     )
 
 
-def _record_dse_run(args, store, slowdowns, label):
-    from repro.dse.explorer import DesignSpaceExplorer
-    from repro.dse.pareto import pareto_front
-    from repro.engine.core import EvaluationEngine
-    from repro.obs.store import recording_observability
-
-    obs = recording_observability(slowdowns or None)
-    app = _load_app(args.app)
-    engine = EvaluationEngine(machine=getattr(args, "machine", None), obs=obs)
-    explorer = DesignSpaceExplorer(
-        engine.compiler,
-        engine.executor,
-        engine.omp,
-        repetitions=args.repetitions,
-        engine=engine,
-    )
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = 0xD5E
-    with obs.tracer.span(f"dse:{app.name}") as root:
-        profile = engine.profile(app)
-        space = _standard_space(engine.machine)
-        result = explorer.explore(profile, space, seed=seed)
-    front = pareto_front(result.knowledge, [("throughput", True), ("power", False)])
-    obs.absorb_engine(engine)
-    metrics = {
-        "wall_s": root.duration_s,
-        "points_evaluated": engine.counters.points_evaluated,
-        "front_size": len(front),
-        "space_size": result.space_size,
-    }
-    knobs = {
-        "repetitions": args.repetitions,
-        "slowdowns": _slowdown_knob(slowdowns),
-    }
+def _store_dse_run(store, app, seed, label, knobs, obs, engine, result, front):
+    """Record one exploration as a ``dse`` run; its wall time is the
+    summed duration of the trace's root spans."""
     blobs, derivations = _warehouse_artifacts(obs)
+    roots = [span for span in obs.tracer.spans if span.parent_id is None]
     return store.record(
         "dse",
         app=app.name,
@@ -1530,10 +1469,30 @@ def _record_dse_run(args, store, slowdowns, label):
         label=label,
         source=app.source_fingerprint(),
         knobs=knobs,
-        metrics=metrics,
+        metrics={
+            "wall_s": sum(span.duration_s for span in roots),
+            "points_evaluated": engine.counters.points_evaluated,
+            "front_size": len(front),
+            "space_size": result.space_size,
+        },
         artifacts=blobs,
         derivations=derivations,
     )
+
+
+def _record_dse_run(args, store, slowdowns, label):
+    from repro.obs.store import recording_observability
+
+    obs = recording_observability(slowdowns or None)
+    app = _load_app(args.app)
+    seed = 0xD5E if args.seed is None else args.seed
+    explored = _explore_front(args, app, obs, None, seed, f"dse:{app.name}")
+    obs.absorb_engine(explored[0])
+    knobs = {
+        "repetitions": args.repetitions,
+        "slowdowns": _slowdown_knob(slowdowns),
+    }
+    return _store_dse_run(store, app, seed, label, knobs, obs, *explored)
 
 
 def _record_trace_run(args, store, slowdowns, label):
@@ -1665,9 +1624,6 @@ def cmd_obs_runs_record(args: argparse.Namespace) -> int:
     twice is a no-op.  ``--inject-slowdown SPAN:FACTOR`` stretches the
     named span (CI uses this to prove the trend gate catches drift).
     """
-    import contextlib
-    import json
-
     from repro.obs.store import parse_slowdowns
 
     store = _open_store(args.store)
@@ -1675,16 +1631,9 @@ def cmd_obs_runs_record(args: argparse.Namespace) -> int:
     # build/dse/trace address an app; bench addresses a scenario
     args.app = args.target
     recorder = _WAREHOUSE_RECORDERS[args.kind]
+    run_id, created = recorder(args, store, slowdowns, args.label)
     if args.json:
-        # workload prose (e.g. the fig5 scenario banner) must not
-        # corrupt the one-line JSON document on stdout
-        with contextlib.redirect_stdout(sys.stderr):
-            run_id, created = recorder(args, store, slowdowns, args.label)
-    else:
-        run_id, created = recorder(args, store, slowdowns, args.label)
-    if args.json:
-        document = {"run_id": run_id, "created": created, "kind": args.kind}
-        print(json.dumps(document, sort_keys=True, separators=(",", ":")))
+        _print_json_line({"run_id": run_id, "created": created, "kind": args.kind})
     elif created:
         print(f"recorded {args.kind} run {run_id} in {store.root}")
     else:
@@ -1707,13 +1656,11 @@ def _run_summary(record, pinned) -> dict:
 
 
 def cmd_obs_runs_list(args: argparse.Namespace) -> int:
-    import json
-
     store = _open_store(args.store)
     pinned = store.pinned()
     summaries = [_run_summary(record, pinned) for record in store.runs()]
     if args.json:
-        print(json.dumps(summaries, sort_keys=True, separators=(",", ":")))
+        _print_json_line(summaries)
         return 0
     print(
         f"{'run_id':16s} {'kind':6s} {'target':14s} {'machine':14s} "
@@ -1732,8 +1679,6 @@ def cmd_obs_runs_list(args: argparse.Namespace) -> int:
 
 
 def cmd_obs_runs_show(args: argparse.Namespace) -> int:
-    import json
-
     store = _open_store(args.store)
     record = store.load_run(store.resolve_run(args.run_id))
     print(json.dumps(record, indent=2, sort_keys=True))
@@ -1753,12 +1698,10 @@ def cmd_obs_runs_pin(args: argparse.Namespace) -> int:
 
 
 def cmd_obs_runs_gc(args: argparse.Namespace) -> int:
-    import json
-
     store = _open_store(args.store)
     summary = store.gc(keep=args.keep, dry_run=args.dry_run)
     if args.json:
-        print(json.dumps(summary, sort_keys=True, separators=(",", ":")))
+        _print_json_line(summary)
         return 0
     verb = "would remove" if summary["dry_run"] else "removed"
     kept_blobs = summary["kept_blobs"]
@@ -1775,15 +1718,13 @@ def cmd_obs_runs_gc(args: argparse.Namespace) -> int:
 
 def cmd_obs_lineage(args: argparse.Namespace) -> int:
     """Walk the provenance DAG around a run, artifact or source node."""
-    import json
-
     from repro.obs.provenance import ProvenanceGraph
 
     store = _open_store(args.store)
     graph = ProvenanceGraph.from_runs(store.runs())
     node = graph.resolve(args.ref)
     if args.json:
-        print(json.dumps(graph.lineage_dict(node), sort_keys=True, separators=(",", ":")))
+        _print_json_line(graph.lineage_dict(node))
     else:
         print(graph.ascii_tree(node))
     return 0
@@ -1791,8 +1732,6 @@ def cmd_obs_lineage(args: argparse.Namespace) -> int:
 
 def cmd_obs_query(args: argparse.Namespace) -> int:
     """Filter/aggregate recorded runs with the small expression grammar."""
-    import json
-
     from repro.obs.store import aggregate_runs, filter_runs, parse_query
 
     store = _open_store(args.store)
@@ -1801,14 +1740,14 @@ def cmd_obs_query(args: argparse.Namespace) -> int:
     if args.agg:
         document = aggregate_runs(selected, args.agg)
         if args.json:
-            print(json.dumps(document, sort_keys=True, separators=(",", ":")))
+            _print_json_line(document)
         else:
             print(f"{document['agg']}: {document['value']}")
         return 0
     pinned = store.pinned()
     summaries = [_run_summary(record, pinned) for record in selected]
     if args.json:
-        print(json.dumps(summaries, sort_keys=True, separators=(",", ":")))
+        _print_json_line(summaries)
         return 0
     for row in summaries:
         target = row["app"] or row["scenario"]
@@ -1822,8 +1761,6 @@ def cmd_obs_query(args: argparse.Namespace) -> int:
 
 def cmd_obs_trend(args: argparse.Namespace) -> int:
     """History-aware drift gate over the warehouse (exit 3 on drift)."""
-    import json
-
     import repro.obs.trend as trend_mod
 
     store = _open_store(args.store)
@@ -1849,7 +1786,7 @@ def cmd_obs_trend(args: argparse.Namespace) -> int:
         mad_k=args.mad_k,
     )
     if args.json:
-        print(json.dumps(verdict.as_dict(), sort_keys=True, separators=(",", ":")))
+        _print_json_line(verdict.as_dict())
     else:
         print(verdict.format())
     return 3 if verdict.drift else 0
@@ -1889,8 +1826,6 @@ def _print_domain_table(title: str, totals, means, duration_s: float) -> None:
 
 def cmd_energy_report(args: argparse.Namespace) -> int:
     """Per-domain energy report with the attribution ledger."""
-    import json
-
     from repro.obs.energy import EnergyLedger
 
     obs, result, app, records, timeline = _energy_scenario(args)
@@ -2070,26 +2005,19 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
     )
 
     store_dir = getattr(args, "store", None)
-    obs_factory = None
-    if store_dir:
-        # warehouse mode: run under the virtual tracer clock so the
-        # recorded wall times and artifact hashes are deterministic
-        from repro.obs.store import recording_observability
-
-        obs_factory = recording_observability
+    obs_factory = (lambda: _run_obs(args)) if store_dir else None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in _bench_scenario_names(args):
         result = run_scenario(name, repeats=args.repeats, obs_factory=obs_factory)
         if store_dir:
-            run_id, created = _store_bench_result(
-                _open_store(store_dir),
-                result,
-                getattr(args, "store_label", "") or "",
-                {},
+            _note_recorded(
+                "bench",
+                store_dir,
+                _store_bench_result(
+                    _open_store(store_dir), result, args.store_label, {}
+                ),
             )
-            verb = "recorded" if created else "already recorded"
-            print(f"{verb} bench run {run_id} in {store_dir}", file=sys.stderr)
         # ratio caps are hand-committed policy, never measured: when
         # regenerating over an existing baseline, carry its caps through
         ratio_limits = None
@@ -2147,19 +2075,9 @@ def _bench_compare_reports(args: argparse.Namespace):
 
 def cmd_bench_compare(args: argparse.Namespace) -> int:
     """Informational comparison against the baselines (always exit 0)."""
-    import json
-
     pairs = _bench_compare_reports(args)
     if args.json:
-        # machine mode: one line, stable key order, no screen-scraping —
-        # the same contract as `stats --json` and `obs diff --json`
-        print(
-            json.dumps(
-                [report.as_dict() for report, _, _ in pairs],
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
+        _print_json_line([report.as_dict() for report, _, _ in pairs])
         return 0
     for index, (report, _, _) in enumerate(pairs):
         if index:
@@ -2170,8 +2088,6 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
 
 def cmd_bench_gate(args: argparse.Namespace) -> int:
     """The regression gate: exit 3 when any scenario regresses."""
-    import json
-
     pairs = _bench_compare_reports(args)
     if args.out_dir:
         from pathlib import Path
@@ -2354,32 +2270,11 @@ def cmd_fig4(args: argparse.Namespace) -> int:
 
 
 def cmd_fig5(args: argparse.Namespace) -> int:
-    from repro.core.scenario import Phase, Scenario
-    from repro.margot.state import (
-        OptimizationState,
-        maximize_throughput,
-        maximize_throughput_per_watt_squared,
-    )
+    from repro.core.scenario import fig5_flip
     from repro.viz.ascii import timeseries
 
-    flow = _toolflow(args)
-    result = flow.build(_load_app(args.app))
-    app = result.adaptive
-    app.add_state(
-        OptimizationState("Thr/W^2", rank=maximize_throughput_per_watt_squared()),
-        activate=True,
-    )
-    app.add_state(OptimizationState("Throughput", rank=maximize_throughput()))
-    third = args.duration / 3.0
-    scenario = Scenario(
-        phases=[
-            Phase(0.0, "Thr/W^2"),
-            Phase(third, "Throughput"),
-            Phase(2 * third, "Thr/W^2"),
-        ],
-        duration_s=args.duration,
-    )
-    records = scenario.run(app)
+    app = _toolflow(args).build(_load_app(args.app)).adaptive
+    records = fig5_flip(app, args.duration).run(app)
     times = [r.timestamp for r in records]
     print(timeseries(times, [r.power_w for r in records], title="Power [W]"))
     print()
@@ -2420,8 +2315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser("build", help="run the full toolflow")
     _add_app_argument(p)
     _add_machine_argument(p)
-    p.add_argument("--threads", help="comma-separated thread counts for the DSE")
-    p.add_argument("--repetitions", type=int, default=3)
+    _add_dse_arguments(p)
     p.add_argument("--oplist", help="write the knowledge base to this JSON file")
     p.add_argument("--source-out", help="write the adaptive source to this file")
     p.add_argument(
@@ -2429,11 +2323,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print per-stage telemetry (wall time, cache hits) as JSON",
     )
-    p.add_argument(
-        "--workers",
-        type=int,
-        help="evaluate design points on a process pool of this size",
-    )
+    _add_workers_argument(p)
     p.add_argument(
         "--trace-out",
         help="write the build's span tree as Chrome trace_event JSON",
@@ -2451,13 +2341,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_app_argument(p)
     _add_machine_argument(p)
-    p.add_argument("--threads", help="comma-separated thread counts for the DSE")
-    p.add_argument("--repetitions", type=int, default=3)
-    p.add_argument(
-        "--workers",
-        type=int,
-        help="evaluate design points on a process pool of this size",
-    )
+    _add_dse_arguments(p, workers=True)
     p.add_argument(
         "--json",
         action="store_true",
@@ -2468,9 +2352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser("trace", help="run a scenario from a margot config")
     p.add_argument("config", help="JSON configuration (see repro.margot.config)")
     _add_machine_argument(p)
-    p.add_argument("--duration", type=float, default=60.0)
-    p.add_argument("--threads", help="comma-separated thread counts for the DSE")
-    p.add_argument("--repetitions", type=int, default=3)
+    p.add_argument("--duration", type=_seconds, default=60.0)
+    _add_dse_arguments(p)
     p.add_argument("--csv", help="write the trace to this CSV file")
     p.add_argument(
         "--trace-out",
@@ -2490,8 +2373,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_machine_argument(p)
     p.add_argument("--apps", help="comma-separated subset (default: all twelve)")
     p.add_argument("-k", type=int, default=4)
-    p.add_argument("--threads", help="unused placeholder for symmetry")
-    p.add_argument("--repetitions", type=int, default=3)
+    _add_dse_arguments(p, threads_help="unused placeholder for symmetry")
     p.set_defaults(func=cmd_loocv)
 
     p = subparsers.add_parser(
@@ -2604,14 +2486,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_app_argument(p)
     _add_machine_argument(p)
     p.add_argument("--out-dir", default="obs-out", help="output directory")
-    p.add_argument("--duration", type=float, default=60.0)
-    p.add_argument("--threads", help="comma-separated thread counts for the DSE")
-    p.add_argument("--repetitions", type=int, default=3)
-    p.add_argument(
-        "--workers",
-        type=int,
-        help="evaluate design points on a process pool of this size",
-    )
+    p.add_argument("--duration", type=_seconds, default=60.0)
+    _add_dse_arguments(p, workers=True)
     p.set_defaults(func=cmd_obs_export)
     p = obs_sub.add_parser(
         "validate",
@@ -2658,14 +2534,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="toolflow/DSE seed override (default: each stage's own seed)",
     )
     _add_machine_argument(p)
-    p.add_argument("--threads", help="comma-separated thread counts for the DSE")
-    p.add_argument("--repetitions", type=int, default=3)
+    _add_dse_arguments(p)
     p.add_argument(
         "--repeats", type=int, default=1, help="bench scenario repeats"
     )
     p.add_argument(
         "--duration",
-        type=float,
+        type=_seconds,
         default=10.0,
         help="virtual seconds of the fig5-style scenario (trace kind)",
     )
@@ -2811,19 +2686,11 @@ def build_parser() -> argparse.ArgumentParser:
         _add_machine_argument(p)
         p.add_argument(
             "--duration",
-            type=float,
+            type=_seconds,
             default=10.0,
             help="virtual seconds of the fig5-style scenario (APP source)",
         )
-        p.add_argument(
-            "--threads", help="comma-separated thread counts for the DSE"
-        )
-        p.add_argument("--repetitions", type=int, default=3)
-        p.add_argument(
-            "--workers",
-            type=int,
-            help="evaluate design points on a process pool of this size",
-        )
+        _add_dse_arguments(p, workers=True)
         p.add_argument(
             "--trace",
             metavar="FILE",
@@ -2946,7 +2813,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(machine="biglittle_8p8e")
     p.add_argument(
         "--duration",
-        type=float,
+        type=_seconds,
         default=3.0,
         help="virtual seconds of the 3-phase scenario",
     )
@@ -2967,8 +2834,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BENCH.json",
         help="bench baseline for span-diff attribution inside the bundles",
     )
-    p.add_argument("--threads", help="comma-separated thread counts for the DSE")
-    p.add_argument("--repetitions", type=int, default=2)
+    _add_dse_arguments(p, repetitions=2)
     p.add_argument("--out-dir", default="incidents", help="bundle output directory")
     p.set_defaults(func=cmd_obs_incidents_record)
     p = incidents_sub.add_parser("list", help="list recorded incident bundles")
@@ -3005,17 +2871,11 @@ def build_parser() -> argparse.ArgumentParser:
         _add_machine_argument(p)
         p.add_argument(
             "--duration",
-            type=float,
+            type=_seconds,
             default=30.0,
             help="virtual seconds of the fig5-style scenario",
         )
-        p.add_argument("--threads", help="comma-separated thread counts for the DSE")
-        p.add_argument("--repetitions", type=int, default=3)
-        p.add_argument(
-            "--workers",
-            type=int,
-            help="evaluate design points on a process pool of this size",
-        )
+        _add_dse_arguments(p, workers=True)
 
     p = energy_sub.add_parser(
         "report",
@@ -3193,8 +3053,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("config", help="JSON configuration (see repro.margot.config)")
     p.add_argument("--out", help="write the header to this file")
-    p.add_argument("--threads", help="comma-separated thread counts for the DSE")
-    p.add_argument("--repetitions", type=int, default=3)
+    _add_dse_arguments(p)
     p.set_defaults(func=cmd_margot_header)
 
     p = subparsers.add_parser("table1", help="regenerate Table I")
@@ -3203,31 +3062,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser(
         "experiments", help="run the paper's full evaluation (Table I + Figs 3-5)"
     )
-    p.add_argument("--threads", help="comma-separated thread counts for the DSE")
-    p.add_argument("--repetitions", type=int, default=3)
+    _add_dse_arguments(p)
     p.set_defaults(func=cmd_experiments)
 
     p = subparsers.add_parser("fig3", help="regenerate Figure 3")
     _add_machine_argument(p)
     p.add_argument("--apps", help="comma-separated subset of benchmarks")
-    p.add_argument("--threads", help="comma-separated thread counts for the DSE")
-    p.add_argument("--repetitions", type=int, default=3)
+    _add_dse_arguments(p)
     p.set_defaults(func=cmd_fig3)
 
     p = subparsers.add_parser("fig4", help="regenerate Figure 4")
     _add_machine_argument(p)
     p.add_argument("--app", default="2mm")
     p.add_argument("--steps", type=int, default=20)
-    p.add_argument("--threads", help="comma-separated thread counts for the DSE")
-    p.add_argument("--repetitions", type=int, default=3)
+    _add_dse_arguments(p)
     p.set_defaults(func=cmd_fig4)
 
     p = subparsers.add_parser("fig5", help="regenerate Figure 5")
     _add_machine_argument(p)
     p.add_argument("--app", default="2mm")
-    p.add_argument("--duration", type=float, default=300.0)
-    p.add_argument("--threads", help="comma-separated thread counts for the DSE")
-    p.add_argument("--repetitions", type=int, default=3)
+    p.add_argument("--duration", type=_seconds, default=300.0)
+    _add_dse_arguments(p)
     p.set_defaults(func=cmd_fig5)
 
     return parser
@@ -3236,13 +3091,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exit:
+        # usage errors (exit 2, named flag on stderr) and --help (exit 0)
+        return exit.code
     try:
         return args.func(args)
-    except KeyError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except ValueError as error:
+    except (KeyError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -12,7 +12,7 @@ simulated time (Figure 5's policy switches).
 """
 
 from repro.core.adaptive import AdaptiveApplication, InvocationRecord, KernelVersion
-from repro.core.scenario import Phase, Scenario
+from repro.core.scenario import Phase, Scenario, fig5_flip, power_cap_flip
 from repro.core.toolflow import SocratesToolflow, ToolflowResult
 
 __all__ = [
@@ -23,4 +23,6 @@ __all__ = [
     "Scenario",
     "SocratesToolflow",
     "ToolflowResult",
+    "fig5_flip",
+    "power_cap_flip",
 ]

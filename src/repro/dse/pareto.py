@@ -56,3 +56,18 @@ def pareto_front(
 ) -> KnowledgeBase:
     """Pareto-filter a knowledge base into a new (smaller) one."""
     return KnowledgeBase(pareto_filter(knowledge, objectives))
+
+
+def canonical_front(front: Iterable[OperatingPoint]) -> List[dict]:
+    """Canonical (knobs, metrics) form of a Pareto front for equality
+    checks — bit-exact means/stds, stable ordering."""
+    return [
+        {
+            "knobs": dict(op.knobs),
+            "metrics": {
+                name: [stats.mean, stats.std]
+                for name, stats in sorted(op.metrics.items())
+            },
+        }
+        for op in front
+    ]

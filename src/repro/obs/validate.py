@@ -494,26 +494,3 @@ def validate_file(path: PathLike) -> Dict[str, object]:
 #: directory walk is counted as skipped rather than failing the run.
 VALIDATABLE_SUFFIXES = (".json", ".jsonl", ".prom", ".txt", ".folded")
 
-
-def validate_tree(root: PathLike) -> Tuple[List[Tuple[Path, Dict[str, object]]], int]:
-    """Recursively validate every known artifact under ``root``.
-
-    Returns ``(validated, skipped)`` where ``validated`` is a list of
-    ``(path, summary)`` pairs in sorted order and ``skipped`` counts
-    files whose suffix no validator claims (a store's journal and pin
-    markers, editor droppings, ...).  Raises :class:`ValueError` on
-    the first malformed artifact — a directory is checked as a unit.
-    """
-    base = Path(root)
-    if not base.is_dir():
-        raise ValueError(f"{root}: not a directory")
-    validated: List[Tuple[Path, Dict[str, object]]] = []
-    skipped = 0
-    for path in sorted(base.rglob("*")):
-        if not path.is_file():
-            continue
-        if path.suffix.lower() not in VALIDATABLE_SUFFIXES:
-            skipped += 1
-            continue
-        validated.append((path, validate_file(path)))
-    return validated, skipped

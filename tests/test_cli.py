@@ -630,3 +630,60 @@ class TestIncidentPipeline:
         assert "no incident bundles" in capsys.readouterr().out
         assert main(["obs", "incidents", "report", "--latest", "--dir", str(tmp_path)]) == 2
         assert "no INC_*.json incident bundles found" in capsys.readouterr().err
+
+
+class TestSharedOptionTypes:
+    """--threads, --duration and --workers are validated at parse time:
+    a bad value exits 2 naming the flag, before anything is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_builds(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a build ran before the flag was rejected")
+
+        monkeypatch.setattr("repro.core.toolflow.SocratesToolflow.build", refuse)
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["stats", "2mm", "--threads", "1,,4"], "--threads"),
+            (["build", "2mm", "--threads", "0,4"], "--threads"),
+            (["fig3", "--threads", "two"], "--threads"),
+            (["energy", "report", "mvt", "--duration", "-1"] + FAST, "--duration"),
+            (["fig5", "--duration", "0"], "--duration"),
+            (["obs", "whatif", "mvt", "--duration", "nan"], "--duration"),
+            (["build", "2mm", "--workers", "0"] + FAST, "--workers"),
+            (["obs", "export", "mvt", "--workers", "x"], "--workers"),
+        ],
+    )
+    def test_bad_value_exits_2_naming_the_flag(self, capsys, argv, flag):
+        assert main(argv) == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+    def test_thread_counts_sorted_and_deduplicated(self):
+        args = build_parser().parse_args(["stats", "2mm", "--threads", "16, 1,4,1"])
+        assert args.threads == [1, 4, 16]
+        assert build_parser().parse_args(["stats", "2mm"]).threads is None
+
+
+class TestJsonStdout:
+    """Under --json the fig5-style commands print exactly one JSON
+    document on stdout; progress notices go to stderr."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["energy", "report", "mvt", "--json"],
+            ["obs", "flame", "mvt", "--json"],
+            ["obs", "whatif", "mvt", "--json"],
+            ["obs", "runs", "record", "trace", "mvt", "--json", "--store", "wh"],
+        ],
+        ids=["energy-report", "obs-flame", "obs-whatif", "obs-runs-record"],
+    )
+    def test_stdout_parses_as_one_document(self, tmp_path, capsys, argv):
+        argv = [str(tmp_path / arg) if arg == "wh" else arg for arg in argv]
+        assert main(argv + ["--duration", "2", "--threads", "1,2",
+                            "--repetitions", "1"]) == 0
+        captured = capsys.readouterr()
+        json.loads(captured.out)
+        assert "Running fig5-style scenario" in captured.err

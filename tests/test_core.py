@@ -1,9 +1,11 @@
 """Tests for the SOCRATES toolflow and the adaptive application."""
 
+import copy
+
 import pytest
 
 from repro.core.adaptive import AdaptiveApplication, KernelVersion
-from repro.core.scenario import Phase, Scenario
+from repro.core.scenario import Phase, Scenario, fig5_flip, power_cap_flip
 from repro.margot.goal import ComparisonFunction, Goal
 from repro.margot.state import (
     Constraint,
@@ -22,20 +24,25 @@ def eff_state(name="efficiency"):
     return OptimizationState(name=name, rank=maximize_throughput_per_watt_squared())
 
 
-@pytest.fixture
-def adaptive(built_2mm):
-    """A fresh adaptive app sharing the session-scoped knowledge."""
+def fresh_adaptive(built, executor):
+    """A fresh adaptive app sharing ``built``'s knowledge, seeded meter."""
     from repro.machine.power import RaplMeter
 
-    source = built_2mm.adaptive
+    source = built.adaptive
     return AdaptiveApplication(
         name="2mm",
         versions=source._versions,
-        knowledge=built_2mm.exploration.knowledge,
-        executor=source._executor,
+        knowledge=built.exploration.knowledge,
+        executor=executor,
         omp=source._omp,
-        meter=RaplMeter(source._executor.power_model, seed=3),
+        meter=RaplMeter(executor.power_model, seed=3),
     )
+
+
+@pytest.fixture
+def adaptive(built_2mm):
+    """A fresh adaptive app sharing the session-scoped knowledge."""
+    return fresh_adaptive(built_2mm, built_2mm.adaptive._executor)
 
 
 class TestToolflowResult:
@@ -168,3 +175,78 @@ class TestScenario:
         assert states == {"efficiency", "performance"}
         # the trailing records must be in the performance phase
         assert records[-1].state == "performance"
+
+
+class TestScenarioBuilders:
+    """The builders replay exactly the hand-built states and phases
+    they replaced in the CLI and the bench scenarios."""
+
+    @staticmethod
+    def twin(built):
+        """An adaptive app whose executor noise stream starts where
+        every other twin's does."""
+        return fresh_adaptive(built, copy.deepcopy(built.adaptive._executor))
+
+    @staticmethod
+    def hand_built_fig5(app, duration_s):
+        app.add_state(
+            OptimizationState("Thr/W^2", rank=maximize_throughput_per_watt_squared()),
+            activate=True,
+        )
+        app.add_state(OptimizationState("Throughput", rank=maximize_throughput()))
+        third = duration_s / 3.0
+        return Scenario(
+            phases=[
+                Phase(0.0, "Thr/W^2"),
+                Phase(third, "Throughput"),
+                Phase(2 * third, "Thr/W^2"),
+            ],
+            duration_s=duration_s,
+        )
+
+    @staticmethod
+    def hand_built_power_cap(app, cap_w, duration_s):
+        app.add_state(
+            OptimizationState("Throughput", rank=maximize_throughput()), activate=True
+        )
+        capped = OptimizationState("PowerCap", rank=maximize_throughput())
+        capped.add_constraint(
+            Constraint(Goal("power", ComparisonFunction.LESS_OR_EQUAL, cap_w))
+        )
+        app.add_state(capped)
+        third = duration_s / 3.0
+        return Scenario(
+            phases=[
+                Phase(0.0, "Throughput"),
+                Phase(third, "PowerCap"),
+                Phase(2 * third, "Throughput"),
+            ],
+            duration_s=duration_s,
+        )
+
+    @pytest.mark.parametrize("duration_s", [3.0, 10.0])
+    def test_fig5_flip_matches_hand_built(self, built_2mm, duration_s):
+        reference = self.twin(built_2mm)
+        expected = self.hand_built_fig5(reference, duration_s).run(reference)
+        app = self.twin(built_2mm)
+        scenario = fig5_flip(app, duration_s)
+        assert scenario.run(app) == expected
+        assert {record.state for record in expected} == {"Thr/W^2", "Throughput"}
+
+    @pytest.mark.parametrize("duration_s", [3.0, 10.0])
+    def test_power_cap_flip_matches_hand_built(self, built_2mm, duration_s):
+        reference = self.twin(built_2mm)
+        expected = self.hand_built_power_cap(reference, 60.0, duration_s).run(
+            reference
+        )
+        app = self.twin(built_2mm)
+        scenario = power_cap_flip(app, 60.0, duration_s)
+        assert scenario.run(app) == expected
+        assert {record.state for record in expected} == {"Throughput", "PowerCap"}
+
+    def test_three_second_phases_are_exact(self, adaptive):
+        # the bench scenarios' committed baselines were recorded with
+        # the literal phase starts 1.0 and 2.0
+        scenario = fig5_flip(adaptive, 3.0)
+        assert [phase.start_s for phase in scenario.phases] == [0.0, 1.0, 2.0]
+        assert scenario.duration_s == 3.0

@@ -1,12 +1,18 @@
 """Tests for the `socrates` command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
 
 FAST = ["--threads", "1,4,16", "--repetitions", "2"]
+
+
+def _golden(name):
+    """Expected stdout pinned under ``tests/golden/readers/``."""
+    return (Path(__file__).parent / "golden" / "readers" / name).read_text()
 
 
 class TestParser:
@@ -591,6 +597,17 @@ class TestIncidentPipeline:
         out = capsys.readouterr().out
         assert "inc-5d97b2c83b17" in out and "inc-9e329dda0eaa" in out
         assert "budget_burn:package_cap" in out
+
+    def test_list_golden(self, incident_dir, capsys):
+        assert main(["obs", "incidents", "list", "--dir", str(incident_dir)]) == 0
+        assert capsys.readouterr().out == _golden("incidents_list.txt")
+
+    def test_report_latest_golden(self, incident_dir, capsys):
+        code = main(
+            ["obs", "incidents", "report", "--latest", "--dir", str(incident_dir)]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == _golden("incidents_report_latest.txt")
 
     def test_show_by_prefix(self, incident_dir, capsys):
         code = main(

@@ -289,9 +289,6 @@ class DefUseChains:
     def uses_of(self, definition_node: ast.Node) -> List[ast.Node]:
         return list(self.uses.get(id(definition_node), []))
 
-    def defs_of(self, use_node: ast.Node) -> List[Definition]:
-        return self.reaching.definitions_reaching(use_node)
-
 
 def def_use_chains(func: ast.FunctionDef) -> DefUseChains:
     """Compute def-use chains for the scalars of ``func``."""

@@ -921,33 +921,6 @@ def cmd_obs_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_flame_profile(path):
-    """Load a :class:`FlameProfile` from any of the three exchange forms.
-
-    ``.folded`` text, a ``socrates-profile/1`` JSON document, or a raw
-    Chrome trace export (which is collapsed on the fly).
-    """
-    from pathlib import Path
-
-    from repro.obs.profile import PROFILE_SCHEMA, FlameProfile
-
-    source = Path(path)
-    if source.suffix == ".folded":
-        return FlameProfile.load_folded(source)
-    try:
-        document = json.loads(source.read_text())
-    except OSError as error:
-        raise ValueError(f"{path}: cannot read profile ({error})") from None
-    except json.JSONDecodeError as error:
-        raise ValueError(f"{path}: not valid JSON ({error})") from None
-    if isinstance(document, dict) and document.get("schema") == PROFILE_SCHEMA:
-        profile = FlameProfile.from_dict(document)
-        if not profile.label:
-            profile.label = str(path)
-        return profile
-    return FlameProfile.from_chrome_trace(source)
-
-
 def _profile_source(args: argparse.Namespace):
     """Spans + optional energy attribution behind flame/what-if.
 
@@ -996,13 +969,14 @@ def cmd_obs_flame(args: argparse.Namespace) -> int:
         FlameProfile,
         diff_flame,
         format_stack_diff,
+        load_flame_profile,
         profile_vs_baseline,
         render_svg,
     )
 
     if args.diff:
-        profile_a = _load_flame_profile(args.diff[0])
-        profile_b = _load_flame_profile(args.diff[1])
+        profile_a = load_flame_profile(args.diff[0])
+        profile_b = load_flame_profile(args.diff[1])
         diff = diff_flame(
             profile_a,
             profile_b,
@@ -1137,7 +1111,7 @@ def _resolve_incident(args: argparse.Namespace):
         return load_incident(matches[0])
     # --latest: highest alert timestamp wins, path name as tie-break
     documents = [load_incident(path) for path in paths]
-    return max(documents, key=lambda doc: (doc.get("t", 0.0), doc.get("incident_id")))
+    return max(documents, key=lambda doc: (doc["t"], doc["incident_id"]))
 
 
 def cmd_obs_incidents_record(args: argparse.Namespace) -> int:
@@ -1214,12 +1188,10 @@ def cmd_obs_incidents_list(args: argparse.Namespace) -> int:
     print(f"{'incident id':18s} {'t':>8s} {'kernel':8s} alert")
     for path in paths:
         document = load_incident(path)
-        alert = document.get("alert", {})
+        alert = document["alert"]
         print(
-            f"{document.get('incident_id', '?'):18s} "
-            f"{document.get('t', 0.0):8.3f} "
-            f"{document.get('kernel', '?'):8s} "
-            f"{alert.get('name', '?')} [{alert.get('severity', '?')}]"
+            f"{document['incident_id']:18s} {document['t']:8.3f} "
+            f"{document['kernel']:8s} {alert['name']} [{alert['severity']}]"
         )
     return 0
 
@@ -1234,25 +1206,24 @@ def cmd_obs_incidents_show(args: argparse.Namespace) -> int:
 def cmd_obs_incidents_report(args: argparse.Namespace) -> int:
     """Human-readable incident report with root-cause attribution."""
     document = _resolve_incident(args)
-    alert = document.get("alert", {})
-    attribution = document.get("attribution", {})
+    alert = document["alert"]
+    attribution = document["attribution"]
     counts = document.get("counts", {})
-    print(f"incident {document.get('incident_id', '?')}")
-    print(f"  kernel:    {document.get('kernel', '?')}")
-    print(f"  fired at:  t={document.get('t', 0.0):.3f}s (virtual)")
+    print(f"incident {document['incident_id']}")
+    print(f"  kernel:    {document['kernel']}")
+    print(f"  fired at:  t={document['t']:.3f}s (virtual)")
     print(
-        f"  alert:     {alert.get('name', '?')} "
-        f"[{alert.get('detector', '?')}, {alert.get('severity', '?')}]"
+        f"  alert:     {alert['name']} "
+        f"[{alert['detector']}, {alert['severity']}]"
     )
-    print(f"  message:   {alert.get('message', '')}")
+    print(f"  message:   {alert['message']}")
     print(
         "  window:    "
         + ", ".join(f"{count} {kind}" for kind, count in sorted(counts.items()))
     )
     print("  attribution:")
-    print(f"    domain:  {attribution.get('domain', 'package')}")
-    if "span" in attribution:
-        print(f"    span:    {attribution['span']}")
+    print(f"    domain:  {attribution['domain']}")
+    print(f"    span:    {attribution['span']}")
     point = attribution.get("operating_point")
     if isinstance(point, dict):
         state = point.get("state") or "?"

@@ -48,10 +48,6 @@ class CobaynAutotuner:
         self._network: Optional[DiscreteBayesianNetwork] = None
 
     @property
-    def is_trained(self) -> bool:
-        return self._network is not None
-
-    @property
     def network(self) -> DiscreteBayesianNetwork:
         if self._network is None:
             raise RuntimeError("autotuner is not trained")

@@ -103,27 +103,6 @@ def reference_points(
     ]
 
 
-def evaluate_configuration(
-    app: BenchmarkApp,
-    config: FlagConfiguration,
-    compiler: Compiler,
-    executor: MachineExecutor,
-    omp: OpenMPRuntime,
-    engine: Optional[EvaluationEngine] = None,
-) -> float:
-    """Noise-free execution time of ``app`` under ``config`` at the
-    reference operating point."""
-    engine = engine or EvaluationEngine(compiler=compiler, executor=executor, omp=omp)
-    profile = engine.profile(app)
-    (sample,) = engine.evaluate(
-        profile,
-        reference_points([config], max_threads=engine.machine.logical_cpus),
-        repetitions=1,
-        noisy=False,
-    )
-    return sample.times[0]
-
-
 def build_corpus(
     apps: Sequence[BenchmarkApp],
     compiler: Compiler,

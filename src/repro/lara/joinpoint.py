@@ -17,7 +17,6 @@ from repro.cir import (
     For,
     FunctionDef,
     Pragma,
-    Stmt,
     walk,
 )
 
@@ -155,15 +154,4 @@ class CallJp(JoinPoint):
             return call.name
         if name == "arg_count":
             return len(call.args)
-        raise KeyError(name)
-
-
-class StatementJp(JoinPoint):
-    """Join point over an arbitrary statement (``kind`` attribute)."""
-
-    node: Stmt
-
-    def _read(self, name: str) -> Any:
-        if name == "kind":
-            return type(self.node).__name__.lower()
         raise KeyError(name)

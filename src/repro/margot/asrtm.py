@@ -144,10 +144,6 @@ class ApplicationRuntimeManager:
         """
         self._knob_filters[name] = value
 
-    def clear_knob_filter(self, name: str) -> None:
-        """Remove one knob filter (no-op if absent)."""
-        self._knob_filters.pop(name, None)
-
     def clear_knob_filters(self) -> None:
         """Remove every knob filter."""
         self._knob_filters.clear()
@@ -208,10 +204,6 @@ class ApplicationRuntimeManager:
     @property
     def audit(self) -> Optional[AdaptationAuditLog]:
         return self._audit
-
-    def attach_audit(self, audit: Optional[AdaptationAuditLog]) -> None:
-        """Enable (or disable, with ``None``) adaptation auditing."""
-        self._audit = audit
 
     def attach_alerts(self, alerts) -> None:
         """Notify an :class:`~repro.obs.alerts.AlertEngine` of switches."""

@@ -94,12 +94,6 @@ def knowledge_from_dict(document: Dict[str, object]) -> KnowledgeBase:
     return knowledge
 
 
-def oplist_machine(document: Dict[str, object]) -> Optional[str]:
-    """The registry-machine name recorded in an oplist document, if any."""
-    machine = document.get("machine")
-    return str(machine) if machine is not None else None
-
-
 def save_knowledge(
     knowledge: KnowledgeBase, path: Union[str, Path], machine: Optional[str] = None
 ) -> None:

@@ -37,7 +37,7 @@ from repro.obs.audit import AdaptationAuditLog, IncidentTrace
 from repro.obs.energy import EnergyBudget
 from repro.obs.flight import FlightRecorder, IncidentBundle
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
-from repro.obs.stream import ALERT, AUDIT, ENERGY, METRIC, StreamEvent, TelemetryBus
+from repro.obs.stream import ALERT, AUDIT, METRIC, StreamEvent, TelemetryBus
 
 PathLike = Union[str, Path]
 
@@ -638,32 +638,6 @@ class AlertEngine:
         flight.recorded += 1
         self._ingest_power(start, end, powers, record.power_w)
 
-    def observe_timeline(self, timeline) -> List[Alert]:
-        """Replay a reconstructed power(t) series through the detectors.
-
-        The streaming path and ``build_timeline()`` agree on the
-        active segments by construction; this entry point exists for
-        post-hoc analysis of a timeline that was *not* streamed (e.g.
-        a loaded energy ledger).  Returns the alerts fired during the
-        replay.
-        """
-        before = len(self.alerts)
-        for sample in timeline.samples:
-            if sample.kind != "active":
-                self.bus.advance(sample.end_s)
-                continue
-            self.bus.publish(
-                StreamEvent(
-                    ENERGY,
-                    sample.end_s,
-                    "power.package",
-                    sample.power_w.get("package", 0.0),
-                    payload=sample,
-                )
-            )
-            self._ingest_power(sample.start_s, sample.end_s, sample.power_w)
-        return self.alerts[before:]
-
     def _ingest_power(
         self,
         start: float,
@@ -873,7 +847,3 @@ class AlertEngine:
             "events_published": self.bus.events_published,
             "flight": self.flight.counts(),
         }
-
-    def write_incidents(self, directory: PathLike) -> List[Path]:
-        """Write every incident bundle as ``INC_<id>.json``."""
-        return [bundle.write(directory) for bundle in self.incidents]

@@ -354,17 +354,3 @@ class AdaptationAuditLog:
     def record_incident(self, trace: IncidentTrace) -> IncidentTrace:
         self._incidents.append(trace)
         return trace
-
-    def incidents_as_dicts(self) -> List[Dict[str, object]]:
-        return [trace.as_dict() for trace in self._incidents]
-
-    def incidents_around(self, sequence: int) -> List[IncidentTrace]:
-        """Incidents whose cross-link points at adaptation ``sequence``.
-
-        The inverse direction of the cross-link: given an adaptation
-        entry, which incidents fired between it and the previous
-        switch?
-        """
-        return [
-            trace for trace in self._incidents if trace.adaptation_sequence == sequence
-        ]

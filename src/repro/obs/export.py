@@ -20,15 +20,17 @@ seeded runs diff cleanly apart from durations.
 from __future__ import annotations
 
 import json
+import math
 import re
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.obs.audit import AdaptationAuditLog
 from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
+    LabelItems,
     MetricsRegistry,
     escape_label_value,
     format_labels,
@@ -282,12 +284,21 @@ def write_prometheus(metrics: MetricsRegistry, path: PathLike) -> int:
 
 
 # -- Prometheus text parsing (round-trip / dashboard --from) ------------------
+#
+# The accepted subset is what :func:`prometheus_text` writes: ``# HELP``
+# and ``# TYPE`` comments, every sample in a family typed ``counter``,
+# ``gauge`` or ``histogram``, histograms with at least one finite
+# bucket, no sample timestamps, and OpenMetrics exemplars on histogram
+# ``_bucket`` samples only.
 
+_NAME = r"[a-zA-Z_:][a-zA-Z0-9_:]*"
+_VALUE = r"[-+]?(?:\d+(?:\.\d+)?(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|Inf|NaN)"
 _PARSE_LABEL = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:\\.|[^"\\])*)"')
 _PARSE_SAMPLE = re.compile(
-    r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{(.*?)\})? (\S+)"
-    r"( # \{(.*)\} (\S+))?$"
+    rf"^({_NAME})(?:\{{(.+?)\}})? ({_VALUE})(?: # \{{(.+)\}} ({_VALUE}))?$"
 )
+_PARSE_COMMENT = re.compile(rf"^# (HELP|TYPE) ({_NAME})(?: (.*))?$")
+_KINDS = ("counter", "gauge", "histogram")
 
 
 def _parse_label_body(body: str, context: str) -> List[Tuple[str, str]]:
@@ -306,90 +317,101 @@ def _parse_label_body(body: str, context: str) -> List[Tuple[str, str]]:
     return items
 
 
-def _is_inf_le(le: str) -> bool:
-    """True when a ``le`` label names the +Inf overflow bucket.
-
-    Our exporter writes ``+Inf``, but the text format admits any float
-    spelling (``+inf``, ``Inf``, ...) — matching the literal string
-    would silently turn a foreign overflow bucket into a finite
-    boundary and shift every exemplar slot after it.
-    """
-    try:
-        return float(le) == float("inf")
-    except ValueError:
-        return False
+def _histogram_part(name: str, kinds: Mapping[str, str]) -> Tuple[str, str]:
+    """``(family, suffix)`` of a histogram sample, ``("", "")`` otherwise."""
+    for suffix in ("_bucket", "_sum", "_count"):
+        if name.endswith(suffix) and kinds.get(name[: -len(suffix)]) == "histogram":
+            return name[: -len(suffix)], suffix
+    return "", ""
 
 
 def parse_prometheus_text(text: str) -> MetricsRegistry:
     """Rebuild a :class:`MetricsRegistry` from a text exposition dump.
 
-    The inverse of :func:`prometheus_text` — used by ``socrates obs
-    top --from metrics.prom`` and the escaping round-trip tests.
-    Raises :class:`ValueError` on lines the exporter could never have
-    produced.
+    The inverse of :func:`prometheus_text`, and the one Prometheus
+    reader: ``socrates obs top --from metrics.prom``, ``socrates obs
+    validate`` and the escaping round-trip tests.  Raises
+    :class:`ValueError` naming the line on anything outside the subset
+    the exporter writes, and on bucket counts that are not cumulative
+    per label series (checked as lines are read, so the first defect in
+    file order is the one reported).
     """
     kinds: Dict[str, str] = {}
-    # (name, labels-without-le) -> {"buckets": [(le, cum)], "sum": v, "count": v}
-    histograms: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], Dict[str, object]] = {}
-    scalars: List[Tuple[str, Tuple[Tuple[str, str], ...], float]] = []
     helps: Dict[str, str] = {}
+    # (name, labels-without-le) -> {"buckets": [(le, cum)], "sum": v, "count": v}
+    histograms: Dict[Tuple[str, LabelItems], Dict[str, object]] = {}
+    scalars: List[Tuple[str, LabelItems, float]] = []
+    # (bucket sample name, labels-without-le) -> last cumulative count
+    cumulative: Dict[Tuple[str, LabelItems], float] = {}
     for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         context = f"line {number}"
-        if line.startswith("# TYPE "):
-            _, _, rest = line.partition("# TYPE ")
-            name, _, kind = rest.partition(" ")
-            kinds[name] = kind.strip()
-            continue
-        if line.startswith("# HELP "):
-            _, _, rest = line.partition("# HELP ")
-            name, _, help_text = rest.partition(" ")
-            helps[name] = unescape_label_value(help_text)
-            continue
         if line.startswith("#"):
-            raise ValueError(f"{context}: unsupported comment {line!r}")
+            comment = _PARSE_COMMENT.match(line)
+            if comment is None:
+                raise ValueError(f"{context}: unsupported comment {line!r}")
+            keyword, name, rest = comment.groups()
+            rest = rest or ""
+            if keyword == "HELP":
+                helps[name] = unescape_label_value(rest)
+            elif rest.strip() in _KINDS:
+                kinds[name] = rest.strip()
+            else:
+                raise ValueError(
+                    f"{context}: unsupported metric type {rest!r} for {name!r} "
+                    f"(expected one of {', '.join(_KINDS)})"
+                )
+            continue
         match = _PARSE_SAMPLE.match(line)
         if match is None:
             raise ValueError(f"{context}: malformed sample line {line!r}")
-        name, _, label_body, raw_value, exemplar_part, ex_body, ex_value = (
-            match.groups()
-        )
+        name, label_body, raw_value, ex_body, ex_value = match.groups()
         labels = _parse_label_body(label_body, context) if label_body else []
+        rest_labels = tuple((k, v) for k, v in labels if k != "le")
         value = float(raw_value)
-        exemplar: Optional[Tuple[Tuple[Tuple[str, str], ...], float]] = None
-        if exemplar_part is not None:
-            exemplar = (
-                tuple(_parse_label_body(ex_body or "", context)),
-                float(ex_value),
-            )
-        for suffix in ("_bucket", "_sum", "_count"):
-            base = name[: -len(suffix)] if name.endswith(suffix) else None
-            if base is not None and kinds.get(base) == "histogram":
-                le = [v for k, v in labels if k == "le"]
-                rest_labels = tuple(
-                    (k, v) for k, v in labels if k != "le"
-                )
-                series = histograms.setdefault(
-                    (base, rest_labels),
-                    {"buckets": [], "sum": 0.0, "count": 0, "exemplars": []},
-                )
-                if suffix == "_bucket":
-                    if not le:
-                        raise ValueError(f"{context}: bucket sample lacks 'le'")
-                    series["buckets"].append((le[0], int(value)))  # type: ignore[attr-defined]
-                    series["exemplars"].append(exemplar)  # type: ignore[attr-defined]
-                elif suffix == "_sum":
-                    series["sum"] = value
-                else:
-                    series["count"] = int(value)
-                break
-        else:
-            if exemplar is not None:
+        if name.endswith("_bucket"):
+            previous = cumulative.get((name, rest_labels), 0.0)
+            if not value >= previous:  # a NaN count fails too
                 raise ValueError(
-                    f"{context}: exemplar on non-histogram sample {name!r}"
+                    f"{context}: histogram {name[: -len('_bucket')]!r} bucket "
+                    f"counts are not cumulative ({raw_value} < {previous:g})"
                 )
+            cumulative[(name, rest_labels)] = value
+        base, suffix = _histogram_part(name, kinds)
+        exemplar: Optional[Tuple[LabelItems, float]] = None
+        if ex_body is not None:
+            if suffix != "_bucket":
+                raise ValueError(
+                    f"{context}: exemplar on non-histogram or non-bucket "
+                    f"sample {name!r}"
+                )
+            exemplar = (tuple(_parse_label_body(ex_body, context)), float(ex_value))
+        if not base:
             scalars.append((name, tuple(labels), value))
+            continue
+        if suffix != "_sum" and not math.isfinite(value):
+            raise ValueError(f"{context}: {name!r} count {raw_value} is not finite")
+        series = histograms.setdefault(
+            (base, rest_labels),
+            {"buckets": [], "sum": 0.0, "count": 0, "exemplars": []},
+        )
+        if suffix == "_bucket":
+            le = [v for k, v in labels if k == "le"]
+            if not le:
+                raise ValueError(f"{context}: bucket sample lacks 'le'")
+            try:
+                boundary = float(le[0])
+            except ValueError:
+                raise ValueError(
+                    f"{context}: bucket boundary le={le[0]!r} is not a number"
+                ) from None
+            series["buckets"].append((boundary, int(value)))  # type: ignore[attr-defined]
+            series["exemplars"].append(exemplar)  # type: ignore[attr-defined]
+        elif suffix == "_sum":
+            series["sum"] = value
+        else:
+            series["count"] = int(value)
 
     registry = MetricsRegistry()
     for name, labels, value in scalars:
@@ -403,12 +425,15 @@ def parse_prometheus_text(text: str) -> MetricsRegistry:
                 value
             )
         else:
-            raise ValueError(f"sample {name!r} has no # TYPE declaration")
+            raise ValueError(
+                f"sample {name!r} has no counter or gauge # TYPE declaration"
+            )
     for (name, labels), series in histograms.items():
+        # the text format admits any float spelling of +Inf ("+inf",
+        # "Inf", ...): the overflow bucket is the one whose le parses
+        # to +inf, never a literal string match
         boundaries = [
-            float(le)
-            for le, _ in series["buckets"]  # type: ignore[union-attr]
-            if not _is_inf_le(le)
+            le for le, _ in series["buckets"] if le != math.inf  # type: ignore[union-attr]
         ]
         if not boundaries:
             raise ValueError(f"histogram {name!r} has no finite buckets")
@@ -418,10 +443,10 @@ def parse_prometheus_text(text: str) -> MetricsRegistry:
             help=helps.get(name, ""),
             labels=dict(labels),
         )
-        cumulative = [count for _, count in series["buckets"]]  # type: ignore[union-attr]
+        cumulative_counts = [count for _, count in series["buckets"]]  # type: ignore[union-attr]
         previous = 0
         per_bucket: List[int] = []
-        for count in cumulative:
+        for count in cumulative_counts:
             per_bucket.append(count - previous)
             previous = count
         instrument.bucket_counts = per_bucket
@@ -433,7 +458,7 @@ def parse_prometheus_text(text: str) -> MetricsRegistry:
         # survive the round trip like any finite bucket's.
         finite = 0
         for (le, _), exemplar in zip(series["buckets"], series["exemplars"]):  # type: ignore[arg-type]
-            if _is_inf_le(le):
+            if le == math.inf:
                 index = len(instrument.boundaries)
             else:
                 index = finite

@@ -461,8 +461,26 @@ class IncidentBundle:
 # -- loading ------------------------------------------------------------------
 
 
+def _require_keys(
+    value: object, keys: Sequence[str], what: str, path: PathLike
+) -> None:
+    """Raise unless ``value`` is an object carrying every one of ``keys``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: {what} is not an object")
+    for key in keys:
+        if key not in value:
+            raise ValueError(f"{path}: {what} lacks required key {key!r}")
+
+
 def load_incident(path: PathLike) -> Dict[str, object]:
-    """Read one incident bundle, with named errors (never a traceback)."""
+    """Read and check one incident bundle, with named errors.
+
+    Checks the schema shape (alert, attribution, per-kind window
+    lists), that every window's events are in non-decreasing
+    virtual-time order (the flight recorder's eviction invariant), and
+    that the ``incident_id`` matches the recomputed content
+    fingerprint — a tampered or truncated bundle fails loudly.
+    """
     try:
         text = Path(path).read_text()
     except OSError as error:
@@ -477,6 +495,42 @@ def load_incident(path: PathLike) -> Dict[str, object]:
         raise ValueError(
             f"{path}: unknown schema {document.get('schema')!r} "
             f"(expected {INCIDENT_SCHEMA!r})"
+        )
+    _require_keys(
+        document,
+        ("incident_id", "kernel", "t", "alert", "attribution", "window"),
+        "incident bundle",
+        path,
+    )
+    alert_keys = ("name", "detector", "severity", "t", "message")
+    _require_keys(document["alert"], alert_keys, "alert", path)
+    _require_keys(document["attribution"], ("span", "domain"), "attribution", path)
+    _require_keys(document["window"], (), "window", path)
+    for kind in _WINDOW_KEYS.values():
+        ring = document["window"].get(kind)
+        if not isinstance(ring, list):
+            raise ValueError(f"{path}: window lacks event list {kind!r}")
+        last = None
+        for index, event in enumerate(ring):
+            if not isinstance(event, dict) or not isinstance(
+                event.get("t"), (int, float)
+            ):
+                raise ValueError(
+                    f"{path}: window {kind}[{index}] lacks a numeric 't'"
+                )
+            t = float(event["t"])
+            if last is not None and t < last - 1e-9:
+                raise ValueError(
+                    f"{path}: window {kind}[{index}] at t={t!r}s breaks "
+                    f"virtual-time order (previous event at t={last!r}s)"
+                )
+            last = t
+    expected = incident_fingerprint(document)
+    if document["incident_id"] != expected:
+        raise ValueError(
+            f"{path}: incident_id {document['incident_id']!r} does not match "
+            f"the recomputed content fingerprint {expected!r} "
+            "(bundle modified or truncated?)"
         )
     return document
 

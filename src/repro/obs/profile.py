@@ -46,6 +46,7 @@ byte-identical with profiling on or off.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,6 +57,7 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -167,12 +169,128 @@ def total_virtual_s(roots: Sequence[ProfileNode]) -> float:
     return sum(node.self_s for node in _walk(roots))
 
 
-def _read_chrome_trace(path: PathLike) -> Tuple[List[dict], Dict[object, str]]:
-    """The complete ('X') span events and thread names of a Chrome trace.
+#: Slack when checking that spans on one (pid, tid) lane nest, in
+#: seconds: the exporter rounds ``ts`` and ``dur`` separately, so two
+#: adjacent spans may overlap by rounding noise.
+_NESTING_SLACK_S = 0.5e-6
 
-    The one reader behind :func:`load_chrome_trace` and
-    :func:`trace_name_totals`: a malformed file raises a
-    :class:`ValueError` naming ``path``.
+#: Per event phase: the event kind, its required fields, and the fields
+#: that must be non-negative numbers.  Metadata ('M') events carry no
+#: timing and have no rules.
+_EVENT_RULES = {
+    "X": ("span", ("name", "ts", "dur", "pid", "tid"), ("ts", "dur")),
+    "C": ("counter", ("name", "ts", "pid", "args"), ("ts",)),
+}
+
+
+class ChromeTrace(NamedTuple):
+    """One checked Chrome ``trace_event`` document."""
+
+    #: number of trace events of every phase
+    events: int
+    #: the complete ('X') span events, in file order
+    spans: List[dict]
+    #: number of counter ('C') events
+    counters: int
+    #: thread-name metadata: tid -> track name
+    track_names: Dict[object, str]
+    #: ``(span index, enclosing span index or None)`` for every span,
+    #: in the order :func:`_nest_lanes` walks them
+    nesting: List[Tuple[int, Optional[int]]]
+
+
+def _check_event(event: object, index: int, path: PathLike) -> None:
+    """Raise unless ``event`` is an 'X', 'C' or 'M' event object with
+    its required fields, non-negative timing and finite counter values."""
+    if not isinstance(event, dict):
+        raise ValueError(f"{path}: event {index} is not an object")
+    phase = event.get("ph")
+    if phase == "M":
+        return
+    if phase not in _EVENT_RULES:
+        raise ValueError(
+            f"{path}: event {index} has unsupported phase {phase!r} "
+            "(expected complete 'X', counter 'C' or metadata 'M' events)"
+        )
+    kind, fields, numeric = _EVENT_RULES[phase]
+    for key in fields:
+        if key not in event:
+            raise ValueError(f"{path}: {kind} event {index} lacks {key!r}")
+    for key in numeric:
+        value = event[key]
+        if not (isinstance(value, (int, float)) and 0 <= value < math.inf):
+            raise ValueError(
+                f"{path}: {kind} event {index} field {key!r} is not a "
+                f"non-negative number (got {value!r})"
+            )
+    if phase == "C":
+        args = event["args"]
+        if not isinstance(args, dict) or not args:
+            raise ValueError(
+                f"{path}: counter event {index} 'args' must be a non-empty object"
+            )
+        for series, value in args.items():
+            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+                raise ValueError(
+                    f"{path}: counter event {index} series {series!r} value "
+                    f"is not a finite number (got {value!r})"
+                )
+
+
+def _nest_lanes(
+    spans: Sequence[dict], path: PathLike
+) -> List[Tuple[int, Optional[int]]]:
+    """Pair every span with the span enclosing it on its (pid, tid) lane.
+
+    Lanes are walked in ``str`` order, each lane's spans by start time,
+    longest first.  A span closes the open span when it starts at or
+    after that span's end, or when it starts within the slack of that
+    end and runs past it (rounding noise between adjacent siblings).
+    Any other span that outlives the open span overlaps it partially,
+    which raises a :class:`ValueError` naming ``path``.
+    """
+    by_lane: Dict[Tuple[object, object], List[int]] = {}
+    for index, event in enumerate(spans):
+        by_lane.setdefault((event["pid"], event["tid"]), []).append(index)
+    nesting: List[Tuple[int, Optional[int]]] = []
+    for lane in sorted(by_lane, key=str):
+        members = sorted(
+            by_lane[lane],
+            key=lambda i: (
+                float(spans[i]["ts"]),
+                -(float(spans[i]["ts"]) + float(spans[i]["dur"])),
+            ),
+        )
+        open_spans: List[Tuple[int, float]] = []  # (span index, end_s)
+        for index in members:
+            start = float(spans[index]["ts"]) / 1e6
+            end = start + float(spans[index]["dur"]) / 1e6
+            while open_spans:
+                top_end = open_spans[-1][1]
+                nested = start < top_end - 1e-12 and end <= top_end + _NESTING_SLACK_S
+                if nested or start < top_end - _NESTING_SLACK_S:
+                    break  # a child, or a partial overlap reported below
+                open_spans.pop()
+            if open_spans and end > open_spans[-1][1] + _NESTING_SLACK_S:
+                top, top_end = open_spans[-1]
+                raise ValueError(
+                    f"{path}: span {spans[index]['name']!r} "
+                    f"[{start * 1e6:.1f}us, {end * 1e6:.1f}us) on tid {lane[1]} "
+                    f"partially overlaps enclosing span {spans[top]['name']!r} "
+                    f"ending at {top_end * 1e6:.1f}us — spans must nest"
+                )
+            nesting.append((index, open_spans[-1][0] if open_spans else None))
+            open_spans.append((index, end))
+    return nesting
+
+
+def _read_chrome_trace(path: PathLike) -> ChromeTrace:
+    """Read and check a Chrome ``trace_event`` file.
+
+    The one trace reader: behind :func:`load_chrome_trace`,
+    :func:`trace_name_totals` and ``obs validate``.  A malformed file
+    raises a :class:`ValueError` naming ``path``; what counts as an
+    empty trace is left to each caller.
     """
     try:
         document = json.loads(Path(path).read_text())
@@ -184,30 +302,33 @@ def _read_chrome_trace(path: PathLike) -> Tuple[List[dict], Dict[object, str]]:
         document.get("traceEvents"), list
     ):
         raise ValueError(f"{path}: missing top-level 'traceEvents' array")
+    events = document["traceEvents"]
     track_names: Dict[object, str] = {}
-    events: List[dict] = []
-    for index, event in enumerate(document["traceEvents"]):
-        if not isinstance(event, dict):
-            continue
-        if event.get("ph") == "M" and event.get("name") == "thread_name":
+    spans: List[dict] = []
+    counters = 0
+    for index, event in enumerate(events):
+        _check_event(event, index, path)
+        if event["ph"] == "X":
+            spans.append(event)
+        elif event["ph"] == "C":
+            counters += 1
+        elif event.get("name") == "thread_name":
+            args = event.get("args")
             track_names[event.get("tid")] = str(
-                dict(event.get("args") or {}).get("name", event.get("tid"))
+                (args if isinstance(args, dict) else {}).get("name", event.get("tid"))
             )
-        elif event.get("ph") == "X":
-            for key in ("name", "ts", "dur"):
-                if key not in event:
-                    raise ValueError(f"{path}: span event {index} lacks {key!r}")
-            for key in ("ts", "dur"):
-                try:
-                    float(event[key])
-                except (TypeError, ValueError):
-                    raise ValueError(
-                        f"{path}: span event {index} has a non-numeric {key!r}"
-                    ) from None
-            events.append(event)
-    if not events:
+    return ChromeTrace(
+        len(events), spans, counters, track_names, _nest_lanes(spans, path)
+    )
+
+
+def _read_span_trace(path: PathLike) -> ChromeTrace:
+    """:func:`_read_chrome_trace` for the span views, which need at
+    least one complete span."""
+    trace = _read_chrome_trace(path)
+    if not trace.spans:
         raise ValueError(f"{path}: trace contains no complete ('X') span events")
-    return events, track_names
+    return trace
 
 
 def load_chrome_trace(path: PathLike) -> List[ProfileNode]:
@@ -215,69 +336,63 @@ def load_chrome_trace(path: PathLike) -> List[ProfileNode]:
 
     Our exporter stamps every span's ``span_id``/``parent_id`` into
     ``args``, so parentage survives the export exactly.  Traces from
-    other producers lack those args; parents are then inferred from
-    interval nesting per (pid, tid).
+    other producers lack those args; parents are then the enclosing
+    spans per (pid, tid) lane.
     """
-    events, track_names = _read_chrome_trace(path)
+    trace = _read_span_trace(path)
 
-    def track_of(event: dict) -> str:
+    def node(
+        event: dict, span_id: int, parent_id: Optional[int], **extra
+    ) -> ProfileNode:
+        start = float(event["ts"]) / 1e6
         if "cat" in event:
-            return str(event["cat"])
-        return track_names.get(event.get("tid"), str(event.get("tid")))
+            track = str(event["cat"])
+        else:
+            track = trace.track_names.get(event.get("tid"), str(event.get("tid")))
+        return ProfileNode(
+            name=str(event["name"]),
+            span_id=span_id,
+            parent_id=parent_id,
+            start_s=start,
+            end_s=start + float(event["dur"]) / 1e6,
+            track=track,
+            **extra,
+        )
 
     native = all(
         isinstance(event.get("args"), dict) and "span_id" in event["args"]
-        for event in events
+        for event in trace.spans
     )
     spans: List[ProfileNode] = []
     if native:
-        for event in events:
+        for event in trace.spans:
             args = dict(event["args"])
             span_id = int(args.pop("span_id"))
             parent_id = args.pop("parent_id", None)
             ok = bool(args.pop("ok", True))
-            start = float(event["ts"]) / 1e6
             spans.append(
-                ProfileNode(
-                    name=str(event["name"]),
-                    span_id=span_id,
-                    parent_id=None if parent_id is None else int(parent_id),
-                    start_s=start,
-                    end_s=start + float(event["dur"]) / 1e6,
-                    track=track_of(event),
+                node(
+                    event,
+                    span_id,
+                    None if parent_id is None else int(parent_id),
                     ok=ok,
                     attributes=args,
                 )
             )
     else:
-        # foreign trace: infer parentage from interval nesting per lane
-        by_lane: Dict[Tuple[object, object], List[dict]] = {}
-        for event in events:
-            by_lane.setdefault((event.get("pid"), event.get("tid")), []).append(event)
-        next_id = 1
-        for lane in sorted(by_lane, key=str):
-            members = sorted(
-                by_lane[lane],
-                key=lambda e: (float(e["ts"]), -(float(e["ts"]) + float(e["dur"]))),
-            )
-            open_stack: List[ProfileNode] = []
-            for event in members:
-                start = float(event["ts"]) / 1e6
-                end = start + float(event["dur"]) / 1e6
-                while open_stack and start >= open_stack[-1].end_s - 1e-12:
-                    open_stack.pop()
-                node = ProfileNode(
-                    name=str(event["name"]),
-                    span_id=next_id,
-                    parent_id=open_stack[-1].span_id if open_stack else None,
-                    start_s=start,
-                    end_s=end,
-                    track=track_of(event),
+        # foreign trace: the enclosing span on the lane is the parent
+        span_ids: Dict[int, int] = {}
+        for index, parent in trace.nesting:
+            span_ids[index] = len(span_ids) + 1
+            event = trace.spans[index]
+            spans.append(
+                node(
+                    event,
+                    span_ids[index],
+                    None if parent is None else span_ids[parent],
                     attributes=dict(event.get("args") or {}),
                 )
-                next_id += 1
-                spans.append(node)
-                open_stack.append(node)
+            )
     return build_tree(spans)
 
 
@@ -504,8 +619,19 @@ class FlameProfile:
                 raise ValueError(
                     f"folded line {number}: expected 'stack <seconds>', got {line!r}"
                 ) from None
-            if not stack:
-                raise ValueError(f"folded line {number}: empty stack")
+            if any(not frame for frame in stack.split(STACK_SEP)):
+                raise ValueError(
+                    f"folded line {number}: stack {stack!r} has an empty frame"
+                )
+            if not math.isfinite(self_s):
+                raise ValueError(
+                    f"folded line {number}: stack {stack!r} self time is not finite"
+                )
+            if self_s < 0:
+                raise ValueError(
+                    f"folded line {number}: stack {stack!r} has negative self "
+                    f"time ({self_s!r}s)"
+                )
             stat = profile.stacks.setdefault(stack, StackStat())
             stat.self_s += self_s
             stat.count += 1
@@ -568,12 +694,48 @@ class FlameProfile:
                 count=int(record.get("count", 0)),
                 energy_j=float(record.get("energy_j", 0.0)),
             )
+        declared = document.get("total_self_s")
+        if not isinstance(declared, (int, float)):
+            raise ValueError("profile lacks a numeric 'total_self_s'")
+        actual = profile.total_self_s
+        if abs(actual - declared) > CONSERVATION_TOL * max(1.0, abs(declared)):
+            raise ValueError(
+                f"declared total_self_s {declared!r} does not match the "
+                f"stacks' sum {actual!r} — the profile does not conserve "
+                "virtual time"
+            )
         return profile
 
     # -- per-stack medians (bench integration) ---------------------------------
 
     def self_by_stack(self) -> Dict[str, float]:
         return {stack: stat.self_s for stack, stat in self.stacks.items()}
+
+
+def load_flame_profile(path: PathLike) -> FlameProfile:
+    """Load a :class:`FlameProfile` from any of its three exchange forms.
+
+    ``.folded`` text, a ``socrates-profile/1`` JSON document, or a raw
+    Chrome trace export (collapsed on the fly).  A malformed file
+    raises a :class:`ValueError` naming ``path``.
+    """
+    source = Path(path)
+    if source.suffix == ".folded":
+        return FlameProfile.load_folded(source)
+    try:
+        document = json.loads(source.read_text())
+    except OSError as error:
+        raise ValueError(f"{path}: cannot read profile ({error})") from None
+    except json.JSONDecodeError as error:
+        raise ValueError(f"{path}: not valid JSON ({error})") from None
+    if not (isinstance(document, dict) and document.get("schema") == PROFILE_SCHEMA):
+        return FlameProfile.from_chrome_trace(source)
+    try:
+        profile = FlameProfile.from_dict(document)
+    except (KeyError, TypeError, ValueError) as error:
+        raise ValueError(f"{path}: malformed profile ({error})") from None
+    profile.label = profile.label or str(path)
+    return profile
 
 
 # -- SVG rendering -------------------------------------------------------------
@@ -857,9 +1019,9 @@ def name_totals(spans: Iterable[Tuple[str, float]]) -> FlameProfile:
 
 def trace_name_totals(path: PathLike) -> FlameProfile:
     """:func:`name_totals` of an exported Chrome trace file."""
-    events, _ = _read_chrome_trace(path)
     return name_totals(
-        (str(event["name"]), float(event["dur"]) / 1e6) for event in events
+        (str(event["name"]), float(event["dur"]) / 1e6)
+        for event in _read_span_trace(path).spans
     )
 
 
@@ -1375,68 +1537,3 @@ def whatif(
         rank_speedup=rank_speedup,
         baseline_energy_j=total_energy_j,
     )
-
-
-# -- validation ----------------------------------------------------------------
-
-
-def validate_folded_text(path: PathLike) -> Dict[str, object]:
-    """Validate a folded-stack export; raise :class:`ValueError`."""
-    profile = FlameProfile.load_folded(path)
-    if not profile.stacks:
-        raise ValueError(f"{path}: folded profile contains no stacks")
-    for stack, stat in profile.stacks.items():
-        if stat.self_s != stat.self_s or stat.self_s in (
-            float("inf"),
-            -float("inf"),
-        ):
-            raise ValueError(f"{path}: stack {stack!r} self_s is not finite")
-        if stat.self_s < 0:
-            raise ValueError(
-                f"{path}: stack {stack!r} has negative self time "
-                f"({stat.self_s!r}s)"
-            )
-        frames = stack.split(STACK_SEP)
-        if any(not frame for frame in frames):
-            raise ValueError(f"{path}: stack {stack!r} has an empty frame")
-    return {
-        "stacks": len(profile.stacks),
-        "total_self_s": profile.total_self_s,
-    }
-
-
-def validate_profile_json(path: PathLike) -> Dict[str, object]:
-    """Validate a ``socrates-profile/1`` JSON document."""
-    try:
-        document = json.loads(Path(path).read_text())
-    except OSError as error:
-        raise ValueError(f"{path}: cannot read profile ({error})") from None
-    except json.JSONDecodeError as error:
-        raise ValueError(f"{path}: not valid JSON ({error})") from None
-    if not isinstance(document, dict):
-        raise ValueError(f"{path}: profile document is not a JSON object")
-    try:
-        profile = FlameProfile.from_dict(document)
-    except (KeyError, TypeError, ValueError) as error:
-        raise ValueError(f"{path}: malformed profile ({error})") from None
-    if not profile.stacks:
-        raise ValueError(f"{path}: profile contains no stacks")
-    declared = document.get("total_self_s")
-    if not isinstance(declared, (int, float)):
-        raise ValueError(f"{path}: profile lacks a numeric 'total_self_s'")
-    actual = profile.total_self_s
-    if abs(actual - float(declared)) > CONSERVATION_TOL * max(
-        1.0, abs(float(declared))
-    ):
-        raise ValueError(
-            f"{path}: declared total_self_s {declared!r} does not match "
-            f"the stacks' sum {actual!r} — the profile does not conserve "
-            "virtual time"
-        )
-    summary: Dict[str, object] = {
-        "stacks": len(profile.stacks),
-        "total_self_s": actual,
-    }
-    if profile.has_energy:
-        summary["total_energy_j"] = profile.total_energy_j
-    return summary

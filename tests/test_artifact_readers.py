@@ -195,3 +195,130 @@ class TestReaderPins:
         ]
         out = _run(capsys, ["obs", "validate", *(str(artifacts[k]) for k in kinds)])
         assert out == _golden("validate.txt")
+
+
+# -- agreement: obs validate and the consuming command read alike ---------------
+
+
+def _consumer(kind, path):
+    """argv of the command that consumes an artifact kind, or None."""
+    if kind == "trace":
+        return ["obs", "flame", "--trace", str(path)]
+    if kind == "prom":
+        return ["obs", "top", "--from", str(path), "--once"]
+    if kind == "profile":
+        return ["obs", "flame", "--diff", str(path), str(path)]
+    if kind == "incident":
+        return ["obs", "incidents", "list", "--dir", str(path.parent)]
+    return None  # the ledger, the events stream: obs validate only
+
+
+def _prom_with_buckets(first, second):
+    return (
+        "# TYPE h histogram\n"
+        f'h_bucket{{le="1"}} {first}\n'
+        f'h_bucket{{le="+Inf"}} {second}\n'
+        "h_sum 4\n"
+        f"h_count {second}\n"
+    )
+
+
+def _trace(*spans):
+    return json.dumps(
+        {
+            "traceEvents": [
+                {"name": name, "ph": "X", "ts": ts, "dur": dur, "pid": 1, "tid": 0}
+                for name, ts, dur in spans
+            ]
+        }
+    )
+
+
+def _bad_ledger():
+    document = ledger_document(planes=True)
+    document["operating_points"][0]["energy_j"]["P:core"] += 1.0
+    return json.dumps(document)
+
+
+#: (case id, artifact kind, file name, file text, expected error fragment)
+MALFORMED = [
+    # the consumers accepted these at the parent commit
+    ("prom-not-cumulative", "prom", "m.prom", _prom_with_buckets(5, 3), "not cumulative"),
+    ("trace-negative-dur", "trace", "t.json", _trace(("a", 0, -5)), "non-negative"),
+    (
+        "trace-partial-overlap", "trace", "t.json",
+        _trace(("a", 0, 100), ("b", 50, 100)), "must nest",
+    ),
+    ("folded-negative", "profile", "p.folded", "a;b -1.0\n", "negative self time"),
+    ("folded-nan", "profile", "p.folded", "a;;c nan\n", "empty frame"),
+    ("folded-nan-self", "profile", "p.folded", "a;c nan\n", "not finite"),
+    (
+        "profile-json-malformed", "profile", "p.json",
+        json.dumps({"schema": "socrates-profile/1", "stacks": {"a": {"count": 1}}}),
+        "malformed profile",
+    ),
+    (
+        "incident-bare", "incident", "INC_inc-0.json",
+        json.dumps({"schema": "socrates-incident/1", "incident_id": "inc-0"}),
+        "lacks required key",
+    ),
+    # obs validate accepted this one
+    ("ledger-cluster-plane", "ledger", "l.json", _bad_ledger(), "cluster 'P'"),
+    # ...and these, which the consumer could not read
+    ("prom-untyped", "prom", "m.prom", "m 1\n", "TYPE"),
+    ("prom-timestamp", "prom", "m.prom", "# TYPE m gauge\nm 1 1700000000\n", "malformed sample"),
+    (
+        "prom-summary", "prom", "m.prom",
+        '# TYPE s summary\ns{quantile="0.5"} 1\n', "unsupported metric type",
+    ),
+    (
+        "prom-exemplar-on-sum", "prom", "m.prom",
+        _prom_with_buckets(1, 1).replace("h_sum 4", 'h_sum 4 # {span_id="1"} 4'),
+        "exemplar",
+    ),
+    (
+        "prom-no-finite-bucket", "prom", "m.prom",
+        '# TYPE h histogram\nh_bucket{le="+Inf"} 1\nh_sum 1\nh_count 1\n',
+        "no finite buckets",
+    ),
+    ("prom-bad-number", "prom", "m.prom", "# TYPE m gauge\nm 1x\n", "line 2: "),
+    (
+        "trace-unknown-phase", "trace", "t.json",
+        json.dumps({"traceEvents": [{"name": "a", "ph": "B", "ts": 0, "pid": 1, "tid": 0}]}),
+        "unsupported phase",
+    ),
+]
+
+
+class TestReaderAgreement:
+    @pytest.mark.parametrize(
+        "kind, name, text, reason",
+        [case[1:] for case in MALFORMED],
+        ids=[case[0] for case in MALFORMED],
+    )
+    def test_malformed_rejected_by_both(self, tmp_path, capsys, kind, name, text, reason):
+        directory = tmp_path / "artifacts"
+        directory.mkdir()
+        path = directory / name
+        path.write_text(text)
+        commands = [["obs", "validate", str(path)], _consumer(kind, path)]
+        for argv in filter(None, commands):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: "), (argv, err)
+            assert reason in err, (argv, err)
+
+    @pytest.mark.parametrize(
+        "kind, consumer",
+        [
+            ("trace", "trace"), ("foreign", "trace"), ("counters", None),
+            ("prom", "prom"), ("jsonl", None), ("ledger", None),
+            ("ledger_planes", None), ("incident", "incident"),
+            ("folded", "profile"), ("profile", "profile"),
+        ],
+    )
+    def test_pin_fixtures_accepted_by_both(self, artifacts, capsys, kind, consumer):
+        path = artifacts[kind]
+        assert main(["obs", "validate", str(path)]) == 0
+        if consumer is not None:
+            assert main(_consumer(consumer, path)) == 0

@@ -502,6 +502,10 @@ def load_incident(path: PathLike) -> Dict[str, object]:
         "incident bundle",
         path,
     )
+    if not isinstance(document["kernel"], str):
+        raise ValueError(f"{path}: 'kernel' is not a string")
+    if not isinstance(document["t"], (int, float)):
+        raise ValueError(f"{path}: 't' is not a number")
     alert_keys = ("name", "detector", "severity", "t", "message")
     _require_keys(document["alert"], alert_keys, "alert", path)
     _require_keys(document["attribution"], ("span", "domain"), "attribution", path)

@@ -216,6 +216,12 @@ def _check_event(event: object, index: int, path: PathLike) -> None:
     for key in fields:
         if key not in event:
             raise ValueError(f"{path}: {kind} event {index} lacks {key!r}")
+    for key in ("pid", "tid") if phase == "X" else ():
+        if not isinstance(event[key], (int, float, str)):
+            raise ValueError(
+                f"{path}: span event {index} field {key!r} is not a number "
+                f"or string (got {event[key]!r})"
+            )
     for key in numeric:
         value = event[key]
         if not (isinstance(value, (int, float)) and 0 <= value < math.inf):
@@ -312,7 +318,9 @@ def _read_chrome_trace(path: PathLike) -> ChromeTrace:
             spans.append(event)
         elif event["ph"] == "C":
             counters += 1
-        elif event.get("name") == "thread_name":
+        elif event.get("name") == "thread_name" and isinstance(
+            event.get("tid"), (int, float, str)
+        ):  # no span lane can have any other tid
             args = event.get("args")
             track_names[event.get("tid")] = str(
                 (args if isinstance(args, dict) else {}).get("name", event.get("tid"))

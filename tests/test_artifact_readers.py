@@ -262,6 +262,10 @@ MALFORMED = [
         json.dumps({"schema": "socrates-incident/1", "incident_id": "inc-0"}),
         "lacks required key",
     ),
+    (
+        "incident-t-not-a-number", "incident", "INC_inc-1.json",
+        json.dumps(dict(incident_bundle().as_dict(), t="soon")), "'t' is not a number",
+    ),
     # obs validate accepted this one
     ("ledger-cluster-plane", "ledger", "l.json", _bad_ledger(), "cluster 'P'"),
     # ...and these, which the consumer could not read
@@ -282,6 +286,11 @@ MALFORMED = [
         "no finite buckets",
     ),
     ("prom-bad-number", "prom", "m.prom", "# TYPE m gauge\nm 1x\n", "line 2: "),
+    (
+        "trace-list-tid", "trace", "t.json",
+        json.dumps({"traceEvents": [{"name": "a", "ph": "X", "ts": 0, "dur": 1, "pid": 1, "tid": [0]}]}),
+        "'tid' is not a number or string",
+    ),
     (
         "trace-unknown-phase", "trace", "t.json",
         json.dumps({"traceEvents": [{"name": "a", "ph": "B", "ts": 0, "pid": 1, "tid": 0}]}),

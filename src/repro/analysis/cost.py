@@ -30,7 +30,6 @@ fast-math configurations from its iterative-compilation sweep.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -61,7 +60,6 @@ __all__ = [
     "cross_validate",
     "kernel_cost_report",
     "point_key",
-    "roofline_classification",
 ]
 
 #: Minimum mutual predicted advantage (on both time and power) before a
@@ -311,24 +309,6 @@ def cross_validate(
             float(report.max_depth), float(features["ft17_loop_nest_depth"])
         )
     return errors
-
-
-def roofline_classification(
-    report: KernelCostReport, machine
-) -> Dict[str, object]:
-    """Where the kernel sits on the machine's naive roofline."""
-    cluster = machine.cluster(0)
-    peak_flops = (
-        cluster.cores * cluster.frequency_hz * getattr(cluster, "flops_per_cycle", 1.0)
-    )
-    bandwidth = machine.bandwidth_per_socket * machine.sockets
-    ridge = peak_flops / bandwidth if bandwidth else math.inf
-    intensity = report.operational_intensity
-    return {
-        "ridge_flops_per_byte": ridge,
-        "operational_intensity": intensity,
-        "bound": "compute" if intensity >= ridge else "memory",
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ testbed) and every layer resolves its machine parameter through
 :func:`~repro.machine.registry.resolve_machine`.
 """
 
-from repro.machine.dvfs import TurboModel
 from repro.machine.executor import ExecutionResult, MachineExecutor
 from repro.machine.openmp import BindingPolicy, OpenMPRuntime, ThreadPlacement
 from repro.machine.power import (
@@ -47,7 +46,6 @@ __all__ = [
     "DEFAULT_MACHINE",
     "DOMAINS",
     "DomainPower",
-    "TurboModel",
     "ExecutionResult",
     "Machine",
     "MachineExecutor",

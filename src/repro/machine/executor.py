@@ -10,14 +10,15 @@ Model summary (one kernel invocation):
 
 * serial share runs on one core: ``serial_cycles / f``;
 * parallel share is divided by the team's *compute capacity* (one unit
-  per core, +28% for a second SMT thread on the same core), degraded by
-  static-scheduling imbalance and, for dependence-limited kernels
-  (seidel-2d, nussinov), by a sublinear scaling exponent;
+  per core, +28% for a second SMT thread on the same core, each socket
+  at its cluster's clock or DVFS state), degraded by static-scheduling
+  imbalance and, for dependence-limited kernels (seidel-2d, nussinov),
+  by a sublinear scaling exponent;
 * DRAM time is ``traffic / effective bandwidth``; traffic follows a
-  working-set vs. LLC capacity model (spread binding doubles both the
-  usable LLC and the bandwidth, but remote-socket threads only see
-  ``numa_remote_factor`` of their bandwidth because first-touch places
-  the data on socket 0);
+  working-set vs. LLC capacity model (every socket the team touches
+  adds its LLC slice and bandwidth, so spread binding doubles both on
+  the Xeon, but remote-socket threads only see ``numa_remote_factor``
+  of their bandwidth because first-touch places the data on socket 0);
 * compute and memory overlap partially (out-of-order cores prefetch);
 * every OpenMP parallel region pays a fork/join cost growing with team
   size, and doubled when the team spans sockets.
@@ -31,12 +32,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.gcc.compiler import CompiledKernel
-from repro.machine.dvfs import TurboModel
-from repro.machine.openmp import BindingPolicy, ThreadPlacement
+from repro.machine.openmp import ThreadPlacement
 from repro.machine.power import PowerBreakdown, PowerModel, invocation_energy
 from repro.machine.topology import Machine
 
-_PER_THREAD_BANDWIDTH = 13e9  # one thread cannot saturate a socket
 _FORK_JOIN_BASE_S = 6e-6
 _FORK_JOIN_PER_THREAD_S = 4e-7
 _CROSS_SOCKET_SYNC_FACTOR = 1.9
@@ -73,17 +72,14 @@ class MachineExecutor:
         seed: int = 0x50C7,
         time_noise_sigma: float = 0.02,
         power_noise_sigma: float = 0.012,
-        turbo: Optional["TurboModel"] = None,
     ) -> None:
-        """``turbo`` opts into the explicit DVFS model
-        (:class:`repro.machine.dvfs.TurboModel`); by default frequency
-        effects stay folded into the calibrated base clock."""
         self._machine = machine
         self._power_model = power_model or PowerModel()
         self._rng = np.random.default_rng(seed)
         self._time_sigma = time_noise_sigma
         self._power_sigma = power_noise_sigma
-        self._turbo = turbo
+        # the one formula selection, see _compute_terms
+        self._calibrated = machine.is_homogeneous and not machine.cluster(0).dvfs_states
 
     @property
     def machine(self) -> Machine:
@@ -177,116 +173,31 @@ class MachineExecutor:
         """Per-domain power of the idle machine (between invocations)."""
         return self._power_model.idle_breakdown(self._machine)
 
+    # -- model terms -----------------------------------------------------------
+
     def _model_terms(
         self, kernel: CompiledKernel, placement: ThreadPlacement
     ) -> Tuple[float, float, float, float, Optional[Dict[int, float]]]:
         """(time_s, intensity, utilization, bandwidth share, freq power).
 
-        The last element is the per-socket DVFS dynamic-power factor
-        for heterogeneous machines, ``None`` on homogeneous ones (where
-        frequency effects stay folded into the calibrated constants, or
-        come from the opt-in :class:`TurboModel`).
+        Compute time comes from :meth:`_compute_terms`; the memory
+        roofline, fork/join and power terms are one model for every
+        topology.  Every socket the team touches contributes its
+        cluster's LLC slice and DRAM bandwidth: first-touch puts the
+        arrays on socket 0, so socket-0 threads stream locally while
+        other sockets only see ``numa_remote_factor`` of their peak, and
+        one thread cannot saturate a socket (``per_thread_bandwidth``).
+        The working set is loaded at least once (cold misses); the part
+        of it that exceeds the usable LLC is re-streamed on every pass.
         """
-        if self._machine.is_homogeneous:
-            return self._homogeneous_model_terms(kernel, placement)
-        if self._turbo is not None:
-            raise ValueError(
-                "TurboModel is the homogeneous-Xeon frequency model; "
-                "heterogeneous machines model DVFS through their clusters' "
-                "dvfs_states"
-            )
-        return self._clustered_model_terms(kernel, placement)
-
-    def _homogeneous_model_terms(
-        self, kernel: CompiledKernel, placement: ThreadPlacement
-    ) -> Tuple[float, float, float, float, None]:
-        """The calibrated single-cluster-type model (the paper's Xeon)."""
         machine = self._machine
         profile = kernel.profile
-        turbo_power = 1.0
-        if self._turbo is not None:
-            frequency = self._turbo.frequency(
-                machine, placement, vectorized=kernel.vector_width > 1.0
-            )
-            turbo_power = self._turbo.power_factor(frequency)
-        else:
-            frequency = machine.frequency_hz
-
-        serial_time = kernel.serial_cycles / frequency
-
-        capacity = self._compute_capacity(placement)
-        if profile.loop_carried_dependence:
-            capacity = capacity**_DEPENDENCE_SCALING_EXPONENT
-        imbalance = self._imbalance(profile, placement)
-        parallel_compute = kernel.parallel_cycles / frequency / capacity * imbalance
-
-        traffic = self._dram_traffic(kernel, placement)
-        bandwidth = self._effective_bandwidth(placement)
-        memory_time = traffic / bandwidth
-
-        body = max(parallel_compute, memory_time) + (1.0 - _OVERLAP) * min(
-            parallel_compute, memory_time
+        serial_time, parallel_compute, freq_power = self._compute_terms(
+            kernel, placement
         )
-        fork_join = self._fork_join(profile.parallel_regions, placement)
-        time_s = serial_time + body + fork_join
 
-        utilization = self._utilization(parallel_compute, memory_time)
-        bandwidth_share = self._bandwidth_share(traffic, time_s, placement)
-        intensity = kernel.power_intensity * self._vector_power(kernel) * turbo_power
-        return time_s, intensity, utilization, bandwidth_share, None
-
-    def _clustered_model_terms(
-        self, kernel: CompiledKernel, placement: ThreadPlacement
-    ) -> Tuple[float, float, float, float, Dict[int, float]]:
-        """Per-cluster roofline for heterogeneous machines.
-
-        Every socket contributes capacity at its own cluster's clock
-        (the cluster's DVFS governor picks the state for its active-core
-        count), LLC slice and bandwidth.  A static-scheduled team that
-        straddles clusters of different speed is paced by the slowest
-        member — the chunks are equal, the cores are not.
-        """
-        machine = self._machine
-        profile = kernel.profile
-
-        busy_cores: Dict[int, set] = {}
-        smt_extra: Dict[Tuple[int, int], int] = {}
-        for place in placement.assignments:
-            busy_cores.setdefault(place[0], set()).add(place)
-            smt_extra[place] = smt_extra.get(place, 0) + 1
-        smt_pairs: Dict[int, int] = {}
-        for (socket, _core), count in smt_extra.items():
-            if count > 1:
-                smt_pairs[socket] = smt_pairs.get(socket, 0) + 1
-
-        freqs: Dict[int, float] = {}
-        freq_power: Dict[int, float] = {}
-        for socket, cores in busy_cores.items():
-            cluster = machine.cluster(socket)
-            freqs[socket] = cluster.effective_frequency(len(cores))
-            freq_power[socket] = cluster.freq_power_factor(len(cores))
-
-        # the serial share runs on (the fastest of) the participating cores
-        serial_time = kernel.serial_cycles / max(freqs.values())
-
-        core_eq = 0.0
-        capacity_hz = 0.0
-        for socket, cores in busy_cores.items():
-            cluster = machine.cluster(socket)
-            eq = len(cores) + smt_pairs.get(socket, 0) * cluster.smt_speedup
-            core_eq += eq
-            capacity_hz += eq * freqs[socket]
-        mean_freq = capacity_hz / core_eq
-        if profile.loop_carried_dependence:
-            capacity_hz = core_eq**_DEPENDENCE_SCALING_EXPONENT * mean_freq
-        imbalance = self._imbalance(profile, placement)
-        if len(freqs) > 1 and placement.num_threads > 1 and profile.parallel_regions:
-            # straddling clusters: equal static chunks finish at the
-            # slowest cluster's pace
-            imbalance *= mean_freq / min(freqs.values())
-        parallel_compute = kernel.parallel_cycles / capacity_hz * imbalance
-
-        llc = sum(machine.cluster(socket).llc_bytes for socket in busy_cores)
+        sockets = placement.sockets_used
+        llc = sum(machine.cluster(socket).llc_bytes for socket in sockets)
         working_set = max(profile.working_set_bytes, 1.0)
         naive = profile.naive_bytes
         spill_fraction = max(0.0, (working_set - llc) / working_set)
@@ -313,22 +224,68 @@ class MachineExecutor:
         time_s = serial_time + body + fork_join
 
         utilization = self._utilization(parallel_compute, memory_time)
-        peak = sum(
-            machine.cluster(socket).bandwidth_bytes_s
-            for socket in placement.sockets_used
-        )
+        peak = sum(machine.cluster(socket).bandwidth_bytes_s for socket in sockets)
         bandwidth_share = (
             min(1.0, traffic / time_s / peak) if time_s > 0 and peak > 0 else 0.0
         )
         intensity = kernel.power_intensity * self._vector_power(kernel)
         return time_s, intensity, utilization, bandwidth_share, freq_power
 
-    # -- model terms -----------------------------------------------------------
+    def _compute_terms(
+        self, kernel: CompiledKernel, placement: ThreadPlacement
+    ) -> Tuple[float, float, Optional[Dict[int, float]]]:
+        """(serial time, parallel compute time, per-socket DVFS power).
 
-    def _compute_capacity(self, placement: ThreadPlacement) -> float:
-        """Core-equivalents of the team: SMT second threads add 28%."""
+        The model's one fork.  A symmetric machine without a DVFS table
+        (the paper's calibrated Xeon) divides cycles by one clock and by
+        the team's core-equivalents, and returns no power factor, so its
+        seeded artifacts keep their historical bits.  Every other
+        machine runs each socket at its cluster's DVFS state for the
+        socket's busy-core count: capacity is summed in Hz, the serial
+        share runs on the fastest participating core, and a static team
+        straddling clusters of different speed is paced by the slowest
+        member (the chunks are equal, the cores are not).
+        """
         machine = self._machine
-        return placement.cores_used + placement.smt_pairs * machine.smt_speedup
+        profile = kernel.profile
+        imbalance = self._imbalance(profile, placement)
+        if self._calibrated:
+            cluster = machine.cluster(0)
+            frequency = cluster.frequency_hz
+            capacity = placement.cores_used + placement.smt_pairs * cluster.smt_speedup
+            if profile.loop_carried_dependence:
+                capacity = capacity**_DEPENDENCE_SCALING_EXPONENT
+            parallel_compute = kernel.parallel_cycles / frequency / capacity * imbalance
+            return kernel.serial_cycles / frequency, parallel_compute, None
+
+        busy_cores: Dict[int, set] = {}
+        smt_extra: Dict[Tuple[int, int], int] = {}
+        for place in placement.assignments:
+            busy_cores.setdefault(place[0], set()).add(place)
+            smt_extra[place] = smt_extra.get(place, 0) + 1
+        smt_pairs: Dict[int, int] = {}
+        for (socket, _core), count in smt_extra.items():
+            if count > 1:
+                smt_pairs[socket] = smt_pairs.get(socket, 0) + 1
+
+        freqs: Dict[int, float] = {}
+        freq_power: Dict[int, float] = {}
+        core_eq = 0.0
+        capacity_hz = 0.0
+        for socket, cores in busy_cores.items():
+            cluster = machine.cluster(socket)
+            freqs[socket] = cluster.effective_frequency(len(cores))
+            freq_power[socket] = cluster.freq_power_factor(len(cores))
+            eq = len(cores) + smt_pairs.get(socket, 0) * cluster.smt_speedup
+            core_eq += eq
+            capacity_hz += eq * freqs[socket]
+        mean_freq = capacity_hz / core_eq
+        if profile.loop_carried_dependence:
+            capacity_hz = core_eq**_DEPENDENCE_SCALING_EXPONENT * mean_freq
+        if len(freqs) > 1 and placement.num_threads > 1 and profile.parallel_regions:
+            imbalance *= mean_freq / min(freqs.values())
+        parallel_compute = kernel.parallel_cycles / capacity_hz * imbalance
+        return kernel.serial_cycles / max(freqs.values()), parallel_compute, freq_power
 
     def _imbalance(self, profile, placement: ThreadPlacement) -> float:
         """Static-schedule imbalance of chunked parallel iterations."""
@@ -341,36 +298,6 @@ class MachineExecutor:
         chunks = np.ceil(iterations / threads)
         quantization = (chunks * threads) / iterations
         return float(max(1.0, quantization))
-
-    def _dram_traffic(self, kernel: CompiledKernel, placement: ThreadPlacement) -> float:
-        """Bytes pulled from DRAM during one invocation.
-
-        The working set is loaded at least once (cold misses); the part
-        of it that exceeds the usable LLC is re-streamed on every pass
-        over the data.
-        """
-        profile = kernel.profile
-        llc = len(placement.sockets_used) * self._machine.llc_bytes_per_socket
-        working_set = max(profile.working_set_bytes, 1.0)
-        naive = profile.naive_bytes
-        spill_fraction = max(0.0, (working_set - llc) / working_set)
-        return working_set + max(0.0, naive - working_set) * spill_fraction
-
-    def _effective_bandwidth(self, placement: ThreadPlacement) -> float:
-        """Aggregate DRAM bandwidth the team can actually draw.
-
-        First-touch puts the arrays on socket 0, so socket-0 threads
-        stream locally while other sockets cross the QPI link.
-        """
-        machine = self._machine
-        per_socket = placement.threads_per_socket()
-        total = 0.0
-        for socket, threads in per_socket.items():
-            socket_peak = machine.bandwidth_per_socket
-            if socket != 0:
-                socket_peak *= machine.numa_remote_factor
-            total += min(socket_peak, threads * _PER_THREAD_BANDWIDTH)
-        return max(total, _PER_THREAD_BANDWIDTH * 0.5)
 
     def _fork_join(self, regions: float, placement: ThreadPlacement) -> float:
         if regions <= 0 or placement.num_threads == 1:
@@ -387,14 +314,6 @@ class MachineExecutor:
         if total <= 0:
             return 1.0
         return max(0.35, min(1.0, compute_time / total))
-
-    def _bandwidth_share(
-        self, traffic: float, time_s: float, placement: ThreadPlacement
-    ) -> float:
-        peak = len(placement.sockets_used) * self._machine.bandwidth_per_socket
-        if time_s <= 0 or peak <= 0:
-            return 0.0
-        return min(1.0, traffic / time_s / peak)
 
     @staticmethod
     def _vector_power(kernel: CompiledKernel) -> float:

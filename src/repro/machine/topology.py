@@ -40,7 +40,9 @@ class Cluster:
 
     ``dvfs_states`` lists the available frequency steps (Hz).  An empty
     table means the cluster runs at its fixed nominal clock — how the
-    default machine folds turbo effects into calibrated constants.
+    default machine folds turbo effects into calibrated constants.  A
+    turbo-boosting Xeon is the same cluster with its turbo bins as the
+    table: ``Cluster(name="xeon", dvfs_states=(2.6e9, 2.8e9, 3.0e9, 3.2e9))``.
     """
 
     name: str = "xeon"
@@ -203,6 +205,10 @@ class Machine:
             raise ValueError("a machine needs at least one cluster")
         self._name = name or "custom"
         self._numa_remote_factor = numa_remote_factor
+        # clusters are frozen: compare them once, not on every evaluation
+        self._homogeneous = all(
+            cluster == self._clusters[0] for cluster in self._clusters[1:]
+        )
         # the enumerated place list IS the source of place identity
         self._places: Tuple[Tuple[int, int], ...] = tuple(
             (socket, core)
@@ -260,7 +266,7 @@ class Machine:
         """True when every socket hosts an identical cluster (the
         degenerate case whose model arithmetic must stay byte-identical
         to the historical symmetric machine)."""
-        return all(cluster == self._clusters[0] for cluster in self._clusters[1:])
+        return self._homogeneous
 
     def cluster_names(self) -> Tuple[str, ...]:
         """Distinct cluster type names in enumeration order."""
@@ -290,41 +296,6 @@ class Machine:
             self._clusters[socket].logical_cpus
             for socket in self.cluster_sockets(name)
         )
-
-    # -- homogeneous accessors -------------------------------------------------
-
-    def _uniform(self, attribute: str):
-        values = {getattr(cluster, attribute) for cluster in self._clusters}
-        if len(values) > 1:
-            raise ValueError(
-                f"machine {self._name!r} is heterogeneous: {attribute} differs "
-                f"across clusters; query a specific cluster instead"
-            )
-        return next(iter(values))
-
-    @property
-    def cores_per_socket(self) -> int:
-        return self._uniform("cores")
-
-    @property
-    def threads_per_core(self) -> int:
-        return self._uniform("threads_per_core")
-
-    @property
-    def frequency_hz(self) -> float:
-        return self._uniform("frequency_hz")
-
-    @property
-    def llc_bytes_per_socket(self) -> float:
-        return self._uniform("llc_bytes")
-
-    @property
-    def bandwidth_per_socket(self) -> float:
-        return self._uniform("bandwidth_bytes_s")
-
-    @property
-    def smt_speedup(self) -> float:
-        return self._uniform("smt_speedup")
 
     # -- enumeration -----------------------------------------------------------
 

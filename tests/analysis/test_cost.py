@@ -20,7 +20,6 @@ from repro.analysis.cost import (
     cross_validate,
     kernel_cost_report,
     point_key,
-    roofline_classification,
 )
 from repro.analysis.flagsafety import FlagSafetyVerdict
 from repro.engine.model import DesignPoint, DesignSpace
@@ -80,13 +79,6 @@ class TestKernelCostReport:
 
 
 class TestRoofline:
-    def test_classification_names_a_bound(self):
-        app = load("2mm")
-        report = kernel_cost_report(app.parse(), app.kernels[0])
-        outcome = roofline_classification(report, resolve_machine(None))
-        assert outcome["bound"] in ("compute", "memory")
-        assert outcome["ridge_flops_per_byte"] > 0
-
     def test_predictor_is_deterministic_and_cached(self):
         from repro.machine.executor import MachineExecutor
         from repro.machine.openmp import OpenMPRuntime

@@ -235,25 +235,6 @@ class TestHeterogeneousExecutor:
         )
         assert cluster_packages == pytest.approx(totals["package"], abs=1e-9)
 
-    def test_turbo_model_rejected_on_heterogeneous_machine(
-        self, biglittle, bl_omp, k2mm
-    ):
-        from repro.machine.dvfs import TurboModel
-
-        executor = MachineExecutor(biglittle, turbo=TurboModel())
-        placement = bl_omp.place(4, BindingPolicy.CLOSE, cluster="P")
-        with pytest.raises(ValueError, match="homogeneous"):
-            executor.run(k2mm, placement, noisy=False)
-
-    def test_homogeneous_accessors_raise_on_biglittle(self, biglittle):
-        # both clusters happen to have 4 cores, so the core count is
-        # uniform — but the clocks and cache sizes genuinely differ
-        assert biglittle.cores_per_socket == 4
-        with pytest.raises(ValueError, match="heterogeneous"):
-            biglittle.frequency_hz
-        with pytest.raises(ValueError, match="heterogeneous"):
-            biglittle.llc_bytes_per_socket
-
 
 class TestClusterKnobRuntime:
     def test_version_key_shapes(self):

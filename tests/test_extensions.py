@@ -10,10 +10,9 @@ from repro.gcc.flags import (
     cobayn_space,
     parse_pragma,
 )
-from repro.machine.dvfs import TurboModel
 from repro.machine.executor import MachineExecutor
 from repro.machine.openmp import BindingPolicy, OpenMPRuntime
-from repro.machine.topology import default_machine
+from repro.machine.topology import Cluster, Machine, default_machine
 from repro.polybench.datasets import DATASETS, PRESETS, dataset_sizes, preset_names
 from repro.polybench.suite import BENCHMARK_NAMES, load
 from repro.polybench.workload import WorkloadAnalysisError, profile_kernel
@@ -75,41 +74,48 @@ class TestSizeOverrides:
         assert mini.working_set_bytes < 1e5
 
 
+#: a turbo-boosting E5-2630 v3: its turbo bins as a per-cluster DVFS table
+_TURBO_XEON = Cluster(name="xeon", dvfs_states=(2.6e9, 2.8e9, 3.0e9, 3.2e9))
+
+
+def _turbo_machine() -> Machine:
+    return Machine((_TURBO_XEON, _TURBO_XEON), name="xeon_2s_turbo")
+
+
+def _busiest_clock(machine: Machine, placement) -> float:
+    """Clock of the socket running the most busy cores."""
+    busy = {}
+    for socket, _core in set(placement.assignments):
+        busy[socket] = busy.get(socket, 0) + 1
+    socket = max(busy, key=lambda s: busy[s])
+    return machine.cluster(socket).effective_frequency(busy[socket])
+
+
 class TestTurboModel:
     def test_single_core_fastest(self):
-        machine = default_machine()
+        machine = _turbo_machine()
         omp = OpenMPRuntime(machine)
-        turbo = TurboModel()
-        f1 = turbo.frequency(machine, omp.place(1, BindingPolicy.CLOSE), False)
-        f8 = turbo.frequency(machine, omp.place(8, BindingPolicy.CLOSE), False)
-        assert f1 == turbo.single_core_turbo_hz
-        assert f8 == turbo.all_core_turbo_hz
-        assert f1 > f8 > turbo.min_hz
+        f1 = _busiest_clock(machine, omp.place(1, BindingPolicy.CLOSE))
+        f8 = _busiest_clock(machine, omp.place(8, BindingPolicy.CLOSE))
+        assert f1 == _TURBO_XEON.dvfs_states[-1] == 3.2e9
+        assert f8 == _TURBO_XEON.dvfs_states[0] == 2.6e9
+        assert f1 > f8 > _TURBO_XEON.frequency_hz
 
     def test_spread_keeps_higher_clocks(self):
         # 8 threads spread = 4 busy cores per socket -> higher turbo bin
-        machine = default_machine()
+        machine = _turbo_machine()
         omp = OpenMPRuntime(machine)
-        turbo = TurboModel()
-        close = turbo.frequency(machine, omp.place(8, BindingPolicy.CLOSE), False)
-        spread = turbo.frequency(machine, omp.place(8, BindingPolicy.SPREAD), False)
-        assert spread > close
-
-    def test_avx_offset_applies(self):
-        machine = default_machine()
-        omp = OpenMPRuntime(machine)
-        turbo = TurboModel()
-        scalar = turbo.frequency(machine, omp.place(4, BindingPolicy.CLOSE), False)
-        vector = turbo.frequency(machine, omp.place(4, BindingPolicy.CLOSE), True)
-        assert vector == pytest.approx(scalar - turbo.avx_offset_hz)
+        close = _busiest_clock(machine, omp.place(8, BindingPolicy.CLOSE))
+        spread = _busiest_clock(machine, omp.place(8, BindingPolicy.SPREAD))
+        assert (spread, close) == (2.8e9, 2.6e9)
 
     def test_power_factor_grows_with_clock(self):
-        turbo = TurboModel()
-        assert turbo.power_factor(3.2e9) > turbo.power_factor(2.4e9) == 1.0
-
-    def test_invalid_bins_rejected(self):
-        with pytest.raises(ValueError):
-            TurboModel(all_core_turbo_hz=3.4e9, single_core_turbo_hz=3.2e9)
+        assert (
+            _TURBO_XEON.freq_power_factor(1)
+            > _TURBO_XEON.freq_power_factor(8)
+            > Cluster(name="xeon").freq_power_factor(1)
+            == 1.0
+        )
 
     def test_executor_with_turbo_speeds_up_small_teams(self):
         from repro.gcc.compiler import Compiler
@@ -120,7 +126,7 @@ class TestTurboModel:
             profile_kernel(load("3mm")), FlagConfiguration(OptLevel.O2)
         )
         base = MachineExecutor(machine)
-        boosted = MachineExecutor(machine, turbo=TurboModel())
+        boosted = MachineExecutor(_turbo_machine())
         placement = omp.place(1, BindingPolicy.CLOSE)
         assert (
             boosted.evaluate(compiled, placement).time_s
@@ -136,7 +142,7 @@ class TestTurboModel:
             profile_kernel(load("3mm")), FlagConfiguration(OptLevel.O2)
         )
         base = MachineExecutor(machine)
-        boosted = MachineExecutor(machine, turbo=TurboModel())
+        boosted = MachineExecutor(_turbo_machine())
         placement = omp.place(16, BindingPolicy.CLOSE)
         assert (
             boosted.evaluate(compiled, placement).power_w

@@ -1,13 +1,16 @@
 """Tests for the telemetry warehouse: store, provenance, trend, CLI."""
 
+import dataclasses
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench import BenchBaseline, save_baseline
 from repro.cli import main
 from repro.obs.provenance import ProvenanceGraph
 from repro.obs.store import (
@@ -24,7 +27,10 @@ from repro.obs.store import (
     validate_run_record,
 )
 
+from tests.test_bench import _golden_fresh
+
 FAST = ["--threads", "1,4,16", "--repetitions", "2"]
+GOLDEN_TREND = Path(__file__).parent / "golden" / "trend"
 
 
 def tree_digest(root: Path) -> str:
@@ -447,3 +453,64 @@ class TestValidateDirectory:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["obs", "validate", str(empty)]) == 2
+
+
+# -- byte-exact pins of the trend verdicts ---------------------------------------
+
+
+def _record_bench(store, label, extra=()):
+    argv = [
+        "obs", "runs", "record", "bench", "single_build",
+        "--store", str(store), "--repeats", "1", "--label", label, "--json",
+    ] + list(extra)
+    assert main(argv) == 0
+
+
+@pytest.fixture(scope="module")
+def trend_stores(tmp_path_factory):
+    """``{"clean": store, "drift": store}`` of virtual-clock runs.
+
+    The clean store holds four identical seeded ``single_build`` runs;
+    the drift store is a copy plus a fifth run whose
+    ``engine.evaluate`` spans are stretched twofold.
+    """
+    root = tmp_path_factory.mktemp("trend")
+    clean = root / "clean"
+    for label in ("r1", "r2", "r3", "r4"):
+        _record_bench(clean, label)
+    drift = root / "drift"
+    shutil.copytree(clean, drift)
+    _record_bench(drift, "r5", ["--inject-slowdown", "engine.evaluate:2.0"])
+    return {"clean": clean, "drift": drift}
+
+
+class TestTrendPins:
+    """The stdout of ``obs trend`` and of ``bench gate --history-store``,
+    byte for byte; the goldens live under ``tests/golden/trend/``."""
+
+    @pytest.mark.parametrize("case, code", [("clean", 0), ("drift", 3)])
+    @pytest.mark.parametrize("flags, suffix", [([], "txt"), (["--json"], "json")])
+    def test_obs_trend(self, trend_stores, capsys, case, code, flags, suffix):
+        argv = ["obs", "trend", "single_build", "--store", str(trend_stores[case])]
+        assert main(argv + flags) == code
+        expected = (GOLDEN_TREND / f"trend_{case}.{suffix}").read_text()
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("case, code", [("clean", 0), ("drift", 3)])
+    def test_bench_gate_history(
+        self, trend_stores, monkeypatch, tmp_path, capsys, case, code
+    ):
+        # the fresh run is a fixed result equal to its own baseline, so
+        # only the warehouse history decides the exit code
+        import repro.bench
+
+        fresh = dataclasses.replace(_golden_fresh(), scenario="single_build")
+        monkeypatch.setattr(repro.bench, "run_scenario", lambda name, repeats=3: fresh)
+        save_baseline(BenchBaseline.from_result(fresh), tmp_path / "BENCH_single_build.json")
+        argv = [
+            "bench", "gate", "--scenario", "single_build",
+            "--baseline-dir", str(tmp_path), "--history-store", str(trend_stores[case]),
+        ]
+        assert main(argv) == code
+        expected = (GOLDEN_TREND / f"gate_history_{case}.txt").read_text()
+        assert capsys.readouterr().out == expected

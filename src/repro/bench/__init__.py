@@ -33,7 +33,6 @@ from repro.bench.baseline import (
     baseline_filename,
     load_baseline,
     load_baselines,
-    load_scenario_baseline,
     save_baseline,
 )
 from repro.bench.gate import (
@@ -86,7 +85,6 @@ __all__ = [
     "get_scenario",
     "load_baseline",
     "load_baselines",
-    "load_scenario_baseline",
     "mad",
     "median",
     "peak_rss_kb",

@@ -9,18 +9,23 @@ threshold.
 
 The file format is versioned (``"schema": "socrates-bench/1"``) and
 :func:`load_baseline` rejects anything it does not understand with a
-precise error, so a schema bump can never be silently misread.
+precise error, so a schema bump can never be silently misread.  This
+module is the only reader of the ``stages`` and ``stacks`` columns:
+consumers take them as profiles (:meth:`BenchBaseline.name_profile`,
+:meth:`BenchBaseline.stack_profile`).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.bench.scenarios import ScenarioResult
 from repro.bench.stats import RobustStats, median
+from repro.obs.profile import FlameProfile, StackStat
 
 PathLike = Union[str, Path]
 
@@ -163,35 +168,50 @@ class BenchBaseline:
             stacks=stacks,
         )
 
+    def span_envelopes(self) -> Dict[str, RobustStats]:
+        """Per span name: the statistics of its per-repeat total."""
+        return {name: stage.total_s for name, stage in self.stages.items()}
+
+    def name_profile(self) -> FlameProfile:
+        """Per span name: the median total and the span count, as a flat
+        profile (the baseline side of the span-name diff)."""
+        return FlameProfile(
+            {
+                name: StackStat(self_s=stage.total_s.median, count=stage.count)
+                for name, stage in self.stages.items()
+            }
+        )
+
+    def stack_profile(self) -> FlameProfile:
+        """Per folded stack: the median self time and the count, labelled
+        ``BENCH_<scenario>``; empty when the baseline predates the
+        profiling observatory and committed no stacks."""
+        return FlameProfile(
+            {
+                stack: StackStat(self_s=record.self_s.median, count=record.count)
+                for stack, record in self.stacks.items()
+            },
+            label=f"BENCH_{self.scenario}",
+        )
+
     def as_dict(self) -> Dict[str, object]:
         record: Dict[str, object] = {
             "schema": SCHEMA,
             "scenario": self.scenario,
             "repeats": self.repeats,
             "wall_s": self.wall_s.as_dict(),
-            "stages": {
-                name: stage.as_dict() for name, stage in sorted(self.stages.items())
-            },
+            "stages": {name: stage.as_dict() for name, stage in self.stages.items()},
             "fingerprint": dict(self.fingerprint),
             "peak_rss_kb": self.peak_rss_kb,
         }
-        if self.energy_j:
-            record["energy_j"] = {
-                domain: self.energy_j[domain] for domain in sorted(self.energy_j)
-            }
-        if self.ratios:
-            record["ratios"] = {
-                name: self.ratios[name] for name in sorted(self.ratios)
-            }
-        if self.ratio_limits:
-            record["ratio_limits"] = {
-                name: self.ratio_limits[name]
-                for name in sorted(self.ratio_limits)
-            }
+        # the optional columns appear only when the run produced them
+        # (save_baseline sorts every key)
+        for column in ("energy_j", "ratios", "ratio_limits"):
+            if getattr(self, column):
+                record[column] = dict(getattr(self, column))
         if self.stacks:
             record["stacks"] = {
-                stack: self.stacks[stack].as_dict()
-                for stack in sorted(self.stacks)
+                stack: entry.as_dict() for stack, entry in self.stacks.items()
             }
         return record
 
@@ -240,59 +260,54 @@ def load_baseline(path: PathLike) -> BenchBaseline:
     stacks_raw = document.get("stacks", {})
     if not isinstance(stacks_raw, dict):
         raise BaselineFormatError(f"{path}: 'stacks' is not an object")
+
+    def stats(record: object, where: str) -> RobustStats:
+        try:
+            return RobustStats.from_dict(record)  # type: ignore[arg-type]
+        except (TypeError, ValueError) as error:
+            raise BaselineFormatError(f"{path}: {where}: {error}") from None
+
+    def finite(column: str) -> Dict[str, float]:
+        values = {
+            str(name): float(value)
+            for name, value in dict(document.get(column, {})).items()
+        }
+        for name, value in values.items():
+            if not math.isfinite(value):
+                raise BaselineFormatError(
+                    f"{path}: {column}[{name!r}]: non-finite value {value!r}"
+                )
+        return values
+
     try:
-        stages = {
-            name: StageBaseline(
-                count=int(record["count"]),
-                total_s=RobustStats.from_dict(record["total_s"]),
-            )
-            for name, record in stages_raw.items()
-        }
-        stacks = {
-            stack: StackBaseline(
-                count=int(record["count"]),
-                self_s=RobustStats.from_dict(record["self_s"]),
-            )
-            for stack, record in stacks_raw.items()
-        }
         return BenchBaseline(
             scenario=str(document["scenario"]),
             repeats=int(document["repeats"]),
-            wall_s=RobustStats.from_dict(document["wall_s"]),
-            stages=stages,
+            wall_s=stats(document["wall_s"], "wall_s"),
+            stages={
+                name: StageBaseline(
+                    count=int(record["count"]),
+                    total_s=stats(record["total_s"], f"stages[{name!r}]"),
+                )
+                for name, record in stages_raw.items()
+            },
             fingerprint=dict(document["fingerprint"]),
             peak_rss_kb=int(document.get("peak_rss_kb", 0)),
-            energy_j={
-                str(domain): float(value)
-                for domain, value in dict(document.get("energy_j", {})).items()
+            energy_j=finite("energy_j"),
+            ratios=finite("ratios"),
+            ratio_limits=finite("ratio_limits"),
+            stacks={
+                stack: StackBaseline(
+                    count=int(record["count"]),
+                    self_s=stats(record["self_s"], f"stacks[{stack!r}]"),
+                )
+                for stack, record in stacks_raw.items()
             },
-            ratios={
-                str(name): float(value)
-                for name, value in dict(document.get("ratios", {})).items()
-            },
-            ratio_limits={
-                str(name): float(value)
-                for name, value in dict(
-                    document.get("ratio_limits", {})
-                ).items()
-            },
-            stacks=stacks,
         )
     except BaselineError:
         raise
     except (KeyError, TypeError, ValueError) as error:
         raise BaselineFormatError(f"{path}: malformed baseline ({error})") from None
-
-
-def load_scenario_baseline(directory: PathLike, scenario: str) -> BenchBaseline:
-    """Load the committed baseline of one scenario from a directory."""
-    path = Path(directory) / baseline_filename(scenario)
-    if not path.exists():
-        raise BaselineNotFoundError(
-            f"{path}: no committed baseline for scenario {scenario!r} "
-            f"(run 'socrates bench run --scenario {scenario}' to create one)"
-        )
-    return load_baseline(path)
 
 
 def load_baselines(directory: PathLike) -> Dict[str, BenchBaseline]:

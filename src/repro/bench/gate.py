@@ -4,7 +4,8 @@
 committed ``BENCH_<scenario>.json``:
 
 * **wall time** and **every span name's total** are compared median
-  against median; a value regresses when it exceeds
+  against median by :func:`judge`, the one regression rule shared with
+  ``obs trend``: a value regresses when it exceeds
   ``base.median + max(threshold * base.median, mad_k * base.mad,
   min_delta_s)`` — the relative threshold absorbs machine-to-machine
   speed differences, the MAD term absorbs the scenario's own measured
@@ -27,20 +28,20 @@ committed ``BENCH_<scenario>.json``:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.bench.baseline import BenchBaseline
 from repro.bench.scenarios import ScenarioResult
-from repro.bench.stats import median
+from repro.bench.stats import RobustStats, median
 from repro.obs.profile import (
-    STACK_SEP,
     FlameProfile,
+    StackDelta,
     StackDiff,
     StackStat,
     diff_flame,
     format_name_diff,
-    profile_vs_baseline,
 )
 
 #: Default relative regression threshold (fraction of the baseline median).
@@ -169,20 +170,15 @@ class GateReport:
             key=lambda verdict: -verdict.delta_j,
         )
 
-    def offending_stack(self, name: Optional[str] = None):
+    def grown_stacks(self, name: Optional[str] = None) -> List[StackDelta]:
+        """:meth:`~repro.obs.profile.StackDiff.grown` of the stack diff;
+        empty when the baseline committed no stacks."""
+        return self.stack_diff.grown(name) if self.stack_diff is not None else []
+
+    def offending_stack(self, name: Optional[str] = None) -> Optional[StackDelta]:
         """The grown stack with the largest Δself, optionally among
-        stacks containing span ``name`` as a frame.  Returns the
-        :class:`~repro.obs.profile.StackDelta` or ``None`` when the
-        baseline committed no stacks (or nothing grew)."""
-        if self.stack_diff is None:
-            return None
-        candidates = [
-            delta
-            for delta in self.stack_diff.deltas
-            if delta.delta_s > 0
-            and (name is None or name in delta.stack.split(STACK_SEP))
-        ]
-        return candidates[0] if candidates else None
+        stacks containing span ``name`` as a frame."""
+        return next(iter(self.grown_stacks(name)), None)
 
     @property
     def ok(self) -> bool:
@@ -211,17 +207,17 @@ class GateReport:
             "ratio_offenders": [
                 verdict.name for verdict in self.ratios if verdict.regressed
             ],
-            "stack_offenders": [
-                delta.as_dict()
-                for delta in (
-                    self.stack_diff.deltas if self.stack_diff is not None else []
-                )
-                if delta.delta_s > 0
-            ][:5],
+            "stack_offenders": [delta.as_dict() for delta in self.grown_stacks()[:5]],
         }
 
     def format(self, diff_limit: int = 15) -> str:
         lines = [f"bench gate: scenario '{self.scenario}'"]
+
+        def stack_line(prefix: str, name: Optional[str] = None) -> None:
+            stack = (name and self.offending_stack(name)) or self.offending_stack()
+            if stack is not None:
+                lines.append(f"{prefix} {stack.stack} (+{stack.delta_s:.4f}s self)")
+
         wall = self.wall
         lines.append(
             f"  wall {wall.baseline_s:.4f}s -> {wall.fresh_s:.4f}s "
@@ -240,24 +236,14 @@ class GateReport:
                 f"({worst.baseline_s:.4f}s -> {worst.fresh_s:.4f}s, "
                 f"+{worst.delta_s:.4f}s over limit {worst.limit_s:.4f}s)"
             )
-            stack = self.offending_stack(worst.name) or self.offending_stack()
-            if stack is not None:
-                lines.append(
-                    f"    offending stack: {stack.stack} "
-                    f"(+{stack.delta_s:.4f}s self)"
-                )
+            stack_line("    offending stack:", worst.name)
             for verdict in offenders[1:]:
                 lines.append(
                     f"    also regressed: '{verdict.name}' "
                     f"(+{verdict.delta_s:.4f}s)"
                 )
         elif wall.regressed:
-            stack = self.offending_stack()
-            if stack is not None:
-                lines.append(
-                    f"  wall regression's worst-grown stack: {stack.stack} "
-                    f"(+{stack.delta_s:.4f}s self)"
-                )
+            stack_line("  wall regression's worst-grown stack:")
         elif self.fingerprint_ok:
             lines.append("  all spans within thresholds")
         if self.energy:
@@ -292,12 +278,7 @@ class GateReport:
                     f"over cap {verdict.limit:.4f} "
                     f"(baseline {verdict.baseline_ratio:.4f})"
                 )
-                stack = self.offending_stack()
-                if stack is not None:
-                    lines.append(
-                        f"    worst-grown stack: {stack.stack} "
-                        f"(+{stack.delta_s:.4f}s self)"
-                    )
+                stack_line("    worst-grown stack:")
             else:
                 lines.append(
                     f"  ratio '{verdict.name}' {verdict.fresh:.4f} "
@@ -312,6 +293,41 @@ class GateReport:
                 ).splitlines()
             )
         return "\n".join(lines)
+
+
+def judge(
+    name: str,
+    envelope: RobustStats,
+    fresh: float,
+    threshold: float,
+    mad_k: float,
+    floor: float = 0.0,
+    status: str = "changed",
+) -> StageVerdict:
+    """The one regression rule of the bench gate and ``obs trend``:
+    ``fresh`` regresses when it exceeds ``envelope.limit(threshold,
+    mad_k, floor)``, unless the quantity was removed.  A non-finite
+    value raises ValueError, since ``NaN`` can never exceed a limit."""
+    values = [fresh, envelope.median, envelope.mad, *envelope.samples]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(
+            f"{name}: cannot judge a non-finite value (fresh {fresh!r}, "
+            f"envelope {envelope.samples!r})"
+        )
+    limit = envelope.limit(threshold, mad_k, floor)
+    return StageVerdict(
+        name=name,
+        baseline_s=envelope.median,
+        fresh_s=fresh,
+        limit_s=limit,
+        regressed=status != "removed" and fresh > limit,
+        status=status,
+    )
+
+
+#: The envelope of a quantity the baseline lacks: with no spread to
+#: scale by, only the absolute floor applies.
+_ABSENT = RobustStats.from_samples([0.0])
 
 
 def median_profile(
@@ -341,51 +357,40 @@ def compare_result(
             f"baseline is for scenario {baseline.scenario!r}, "
             f"fresh run is {result.scenario!r}"
         )
-    fresh_wall = median(result.wall_s)
-    wall_limit = baseline.wall_s.limit(threshold, mad_k, min_delta_s)
-    wall = StageVerdict(
-        name="wall",
-        baseline_s=baseline.wall_s.median,
-        fresh_s=fresh_wall,
-        limit_s=wall_limit,
-        regressed=fresh_wall > wall_limit,
+    wall = judge(
+        "wall",
+        baseline.wall_s,
+        median(result.wall_s),
+        threshold,
+        mad_k,
+        min_delta_s,
     )
 
     # the root bench span IS the wall time; a stage verdict for it
     # would only duplicate the wall verdict and steal the attribution
     root = f"bench:{baseline.scenario}"
-    stages: List[StageVerdict] = []
-    fresh_names = {name for name in result.span_totals if name != root}
-    for name, stage in sorted(baseline.stages.items()):
-        if name == root:
-            continue
-        present = name in fresh_names
-        fresh = median(result.span_totals[name]) if present else 0.0
-        limit = stage.total_s.limit(threshold, mad_k, min_delta_s)
-        stages.append(
-            StageVerdict(
-                name=name,
-                baseline_s=stage.total_s.median,
-                fresh_s=fresh,
-                limit_s=limit,
-                regressed=present and fresh > limit,
-                status="changed" if present else "removed",
-            )
+    fresh = {
+        name: median(values)
+        for name, values in result.span_totals.items()
+        if name != root
+    }
+    envelopes = baseline.span_envelopes()
+    envelopes.pop(root, None)
+    stages = [
+        judge(
+            name,
+            envelope,
+            fresh.get(name, 0.0),
+            threshold,
+            mad_k,
+            min_delta_s,
+            status="changed" if name in fresh else "removed",
         )
-    for name in sorted(fresh_names - set(baseline.stages)):
-        fresh = median(result.span_totals[name])
-        # a brand-new span name has no baseline spread to scale by:
-        # only the absolute floor applies
-        stages.append(
-            StageVerdict(
-                name=name,
-                baseline_s=0.0,
-                fresh_s=fresh,
-                limit_s=min_delta_s,
-                regressed=fresh > min_delta_s,
-                status="added",
-            )
-        )
+        for name, envelope in sorted(envelopes.items())
+    ] + [
+        judge(name, _ABSENT, fresh[name], threshold, mad_k, min_delta_s, "added")
+        for name in sorted(set(fresh) - set(envelopes))
+    ]
 
     fingerprint_diffs = {
         key: (baseline.fingerprint.get(key), result.fingerprint.get(key))
@@ -434,12 +439,7 @@ def compare_result(
         )
 
     name_diff = diff_flame(
-        FlameProfile(
-            {
-                name: StackStat(self_s=stage.total_s.median, count=stage.count)
-                for name, stage in baseline.stages.items()
-            }
-        ),
+        baseline.name_profile(),
         median_profile(result.span_totals, result.span_counts),
         label_a="base",
         label_b="new",
@@ -447,9 +447,13 @@ def compare_result(
     # per-stack attribution: median-vs-median flame diff, only when
     # the baseline committed stacks (older baselines stay comparable)
     stack_diff = None
-    if baseline.stacks and result.stack_totals:
-        stack_diff = profile_vs_baseline(
-            median_profile(result.stack_totals, result.stack_counts), baseline
+    base_stacks = baseline.stack_profile()
+    if base_stacks.stacks and result.stack_totals:
+        stack_diff = diff_flame(
+            base_stacks,
+            median_profile(result.stack_totals, result.stack_counts),
+            label_a=base_stacks.label,
+            label_b="fresh",
         )
     return GateReport(
         scenario=result.scenario,

@@ -10,6 +10,7 @@ gate scales its thresholds in MAD units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
@@ -64,9 +65,9 @@ class RobustStats:
         )
 
     def limit(self, threshold: float, mad_k: float, floor: float = 0.0) -> float:
-        """The regression envelope of the bench and trend gates:
-        ``median + max(threshold * median, mad_k * MAD, floor)`` (for
-        ``mad_k >= 0`` the default floor adds nothing)."""
+        """The regression envelope ``median + max(threshold * median,
+        mad_k * MAD, floor)`` (for ``mad_k >= 0`` the default floor adds
+        nothing); :func:`repro.bench.gate.judge` is its one caller."""
         return self.median + max(
             threshold * self.median, mad_k * self.mad, floor
         )
@@ -83,8 +84,11 @@ class RobustStats:
 
     @classmethod
     def from_dict(cls, record: Dict[str, object]) -> "RobustStats":
+        """Read :meth:`as_dict` back; a non-finite value is malformed,
+        because a ``NaN`` median or MAD makes every limit ``NaN`` and
+        the quantity could then never regress."""
         try:
-            return cls(
+            stats = cls(
                 n=int(record["n"]),  # type: ignore[arg-type]
                 median=float(record["median"]),  # type: ignore[arg-type]
                 mad=float(record["mad"]),  # type: ignore[arg-type]
@@ -94,3 +98,8 @@ class RobustStats:
             )
         except (KeyError, TypeError, ValueError) as error:
             raise ValueError(f"malformed robust-stats record: {error}") from None
+        for key in ("median", "mad", "min", "max", "samples"):
+            values = stats.samples if key == "samples" else [getattr(stats, key)]
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"non-finite {key!r} in robust-stats record")
+        return stats

@@ -970,7 +970,6 @@ def cmd_obs_flame(args: argparse.Namespace) -> int:
         diff_flame,
         format_stack_diff,
         load_flame_profile,
-        profile_vs_baseline,
         render_svg,
     )
 
@@ -995,13 +994,15 @@ def cmd_obs_flame(args: argparse.Namespace) -> int:
     if args.against_baseline:
         from repro.bench.baseline import load_baseline
 
-        baseline = load_baseline(args.against_baseline)
-        if not baseline.stacks:
+        base = load_baseline(args.against_baseline).stack_profile()
+        if not base.stacks:
             raise ValueError(
                 f"{args.against_baseline}: baseline carries no committed "
                 "stacks; regenerate it with `socrates bench run ... --out`"
             )
-        diff = profile_vs_baseline(profile, baseline)
+        diff = diff_flame(
+            base, profile, label_a=base.label, label_b=profile.label or "fresh"
+        )
         if args.json:
             print(json.dumps(diff.as_dict(), indent=2, sort_keys=True))
         else:
@@ -2003,7 +2004,7 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
         print(
             f"{name}: wall median {baseline.wall_s.median:.4f}s "
             f"(MAD {baseline.wall_s.mad:.4f}s, {result.repeats} repeats, "
-            f"{len(baseline.stages)} span names) -> {path}"
+            f"{len(result.span_totals)} span names) -> {path}"
         )
         if args.trace_out_dir:
             from repro.obs.export import write_chrome_trace
@@ -2117,7 +2118,7 @@ def cmd_bench_gate(args: argparse.Namespace) -> int:
                     threshold=args.threshold,
                     mad_k=args.mad_k,
                 )
-            except ValueError as error:
+            except trend_mod.InsufficientHistory as error:
                 print(f"history {name}: skipped ({error})")
                 continue
             print(verdict.format())

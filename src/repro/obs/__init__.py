@@ -91,7 +91,6 @@ from repro.obs.profile import (
     build_tree,
     diff_flame,
     load_chrome_trace,
-    profile_vs_baseline,
     render_svg,
     rescale_tree,
     total_virtual_s,
@@ -179,7 +178,6 @@ __all__ = [
     "latency_slos_from_baselines",
     "load_chrome_trace",
     "parse_slowdowns",
-    "profile_vs_baseline",
     "recording_observability",
     "render_svg",
     "rescale_tree",

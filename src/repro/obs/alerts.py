@@ -322,11 +322,10 @@ def latency_slos_from_baselines(
         raise ValueError(f"{baseline_dir}: not a baseline directory") from None
     limits: Dict[str, float] = {}
     for baseline in baselines.values():
-        for name, stage in baseline.stages.items():
-            if not stage.count:
-                continue
-            limit = slack * stage.mean_s
-            limits[name] = max(limits.get(name, 0.0), limit)
+        for name, stat in baseline.name_profile().stacks.items():
+            if stat.count:
+                limit = slack * (stat.self_s / stat.count)
+                limits[name] = max(limits.get(name, 0.0), limit)
     return limits
 
 

@@ -306,8 +306,10 @@ def attribute_incident(
       MAPE-K loop was running while the budget burned.
     * ``diff`` — when a :class:`repro.bench.baseline.BenchBaseline` is
       supplied, a span-name diff of the window's per-name totals
-      against the baseline's per-stage means, scaled to the window's
-      span counts (informational: wall-clock based).
+      against the baseline's per-name means (from its
+      ``name_profile()``), scaled to the window's span counts
+      (informational: wall-clock based); ``diff_top`` names the name
+      that grew the most.
     """
     context = alert.get("context") or {}
     domain = str(context.get("domain", "package"))
@@ -359,39 +361,30 @@ def attribute_incident(
         attribution["span"] = str(alert.get("name", "?"))
 
     if baseline is not None:
-        diff = _diff_against_baseline(window.get("spans", []), baseline)
-        if diff is not None:
+        observed = name_totals(
+            (str(event.get("name", "?")), float(event.get("value", 0.0)))
+            for event in window.get("spans", [])
+        )
+        committed = baseline.name_profile().stacks  # type: ignore[attr-defined]
+        # the baseline's mean span duration, scaled to the window's count
+        expected = FlameProfile(
+            {
+                name: StackStat(
+                    self_s=committed[name].self_s / committed[name].count * stat.count,
+                    count=stat.count,
+                )
+                for name, stat in observed.stacks.items()
+                if name in committed and committed[name].count
+            }
+        )
+        if expected.stacks:
+            observed.stacks = {name: observed.stacks[name] for name in expected.stacks}
+            diff = diff_flame(expected, observed)
             attribution["diff"] = name_diff_dict(diff)
-            changed = [
-                d for d in diff.deltas if d.name_status == "changed" and d.delta_s > 0
-            ]
-            if changed:
-                attribution["diff_top"] = changed[0].stack
+            grown = diff.grown()
+            if grown:
+                attribution["diff_top"] = grown[0].stack
     return attribution
-
-
-def _diff_against_baseline(
-    span_events: Sequence[Mapping[str, object]], baseline: object
-):
-    """Window span profile vs the baseline's scaled stage means."""
-    stages = getattr(baseline, "stages", None)
-    if not stages:
-        return None
-    observed = name_totals(
-        (str(event.get("name", "?")), float(event.get("value", 0.0)))
-        for event in span_events
-    )
-    expected = FlameProfile(
-        {
-            name: StackStat(self_s=stages[name].mean_s * stat.count, count=stat.count)
-            for name, stat in observed.stacks.items()
-            if name in stages and stages[name].count
-        }
-    )
-    if not expected.stacks:
-        return None
-    observed.stacks = {name: observed.stacks[name] for name in expected.stacks}
-    return diff_flame(expected, observed)
 
 
 # -- bundles ------------------------------------------------------------------

@@ -18,13 +18,14 @@ speeding up, and what would that buy end-to-end?**  Three pillars:
   (compiler, threads, binding) attributes.
 
 * **Differential profiles** — :func:`diff_flame` compares two profiles
-  stack by stack (grown / shrunk / new / gone, sorted by ``|Δself|``),
-  and :func:`profile_vs_baseline` compares a fresh profile against the
-  per-stack medians a ``BENCH_<scenario>.json`` baseline committed, so
-  a bench-gate regression names the offending *stack*, not just the
-  span name.  The span-name diff (``socrates obs diff``, the bench
-  gate's per-name table) is the same :func:`diff_flame` run over the
-  flat per-name profiles :func:`name_totals` builds.
+  stack by stack (grown / shrunk / new / gone, sorted by ``|Δself|``);
+  against the per-stack medians a ``BENCH_<scenario>.json`` baseline
+  committed (``BenchBaseline.stack_profile``) it lets a bench-gate
+  regression name the offending *stack*, not just the span name, and
+  :meth:`StackDiff.grown` is the one rule for "which stacks grew".
+  The span-name diff (``socrates obs diff``, the bench gate's per-name
+  table) is the same :func:`diff_flame` run over the flat per-name
+  profiles :func:`name_totals` builds.
 
 * **Causal what-if analysis** — :func:`whatif` replays the tree in
   virtual time with a virtual speedup applied to the *self* time of
@@ -71,6 +72,10 @@ PROFILE_SCHEMA = "socrates-profile/1"
 
 #: Frame separator of the folded-stack format.
 STACK_SEP = ";"
+
+#: A stack's self time changed between two profiles when it moved by
+#: more than this: virtual-clock runs accumulate float residue below it.
+DIFF_EPSILON = 1e-9
 
 #: Virtual speedups evaluated by default: the fractions of a matched
 #: span's self time that the hypothetical optimization removes.
@@ -736,7 +741,7 @@ def load_flame_profile(path: PathLike) -> FlameProfile:
         raise ValueError(f"{path}: cannot read profile ({error})") from None
     except json.JSONDecodeError as error:
         raise ValueError(f"{path}: not valid JSON ({error})") from None
-    if not (isinstance(document, dict) and document.get("schema") == PROFILE_SCHEMA):
+    if not (isinstance(document, dict) and "schema" in document):
         return FlameProfile.from_chrome_trace(source)
     try:
         profile = FlameProfile.from_dict(document)
@@ -903,6 +908,17 @@ class StackDiff:
     def changed(self) -> List[StackDelta]:
         return [delta for delta in self.deltas if delta.status != "unchanged"]
 
+    def grown(self, frame: Optional[str] = None) -> List[StackDelta]:
+        """Stacks whose self time grew by more than :data:`DIFF_EPSILON`,
+        largest growth first; with ``frame``, only the stacks that have
+        that span name as a frame."""
+        return [
+            delta
+            for delta in self.deltas
+            if delta.delta_s > DIFF_EPSILON
+            and (frame is None or frame in delta.stack.split(STACK_SEP))
+        ]
+
     def as_dict(self) -> Dict[str, object]:
         return {
             "label_a": self.label_a,
@@ -917,7 +933,7 @@ class StackDiff:
 def diff_flame(
     a: FlameProfile,
     b: FlameProfile,
-    epsilon: float = 1e-9,
+    epsilon: float = DIFF_EPSILON,
     label_a: str = "a",
     label_b: str = "b",
 ) -> StackDiff:
@@ -955,29 +971,6 @@ def diff_flame(
         total_b=b.total_self_s,
         label_a=label_a,
         label_b=label_b,
-    )
-
-
-def profile_vs_baseline(profile: FlameProfile, baseline) -> StackDiff:
-    """Compare a fresh profile against a bench baseline's stacks.
-
-    ``baseline`` is a :class:`~repro.bench.baseline.BenchBaseline`
-    whose ``stacks`` map folded stacks to committed self-time medians.
-    Raises :class:`ValueError` when the baseline committed no stacks
-    (it predates the profiling observatory).
-    """
-    if not getattr(baseline, "stacks", None):
-        raise ValueError(
-            f"baseline for scenario {baseline.scenario!r} has no per-stack "
-            "profile — regenerate it with `socrates bench run`"
-        )
-    base = FlameProfile(label=f"BENCH_{baseline.scenario}")
-    for stack, record in baseline.stacks.items():
-        base.stacks[stack] = StackStat(
-            self_s=record.self_s.median, count=record.count
-        )
-    return diff_flame(
-        base, profile, label_a=base.label, label_b=profile.label or "fresh"
     )
 
 

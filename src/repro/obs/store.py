@@ -324,6 +324,21 @@ def filter_runs(
     ]
 
 
+def run_metric(record: Mapping[str, object], metric: str) -> Optional[float]:
+    """A run's value of ``metric``: None when the run does not carry
+    it, ValueError when what it carries is not a number."""
+    metrics = record.get("metrics")
+    if not isinstance(metrics, dict) or metric not in metrics:
+        return None
+    value = metrics[metric]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(
+            f"run {record.get('run_id', '?')}: metric {metric!r} is not "
+            f"a number ({value!r})"
+        )
+    return float(value)
+
+
 def aggregate_runs(
     records: Sequence[Mapping[str, object]], spec: str
 ) -> Dict[str, object]:
@@ -339,14 +354,8 @@ def aggregate_runs(
             f"unknown aggregation {spec!r} "
             "(expected count, or median:|mean:|min:|max:|sum:<metric>)"
         )
-    samples: List[float] = []
-    for record in records:
-        metrics = record.get("metrics")
-        if isinstance(metrics, dict) and metric in metrics:
-            try:
-                samples.append(float(metrics[metric]))  # type: ignore[arg-type]
-            except (TypeError, ValueError):
-                pass
+    values = [run_metric(record, metric) for record in records]
+    samples = [value for value in values if value is not None]
     if not samples:
         raise ValueError(f"no run carries numeric metric {metric!r}")
     value: float

@@ -3,16 +3,16 @@
 The committed-baseline bench gate compares one fresh run against one
 blessed snapshot.  ``socrates obs trend`` upgrades that to a sliding
 window: the latest recorded run is judged against the robust
-median+MAD envelope of the N runs before it, using the bench gate's
-limit rule (:meth:`repro.bench.stats.RobustStats.limit`, no floor) —
+median+MAD envelope of the N runs before it by the bench gate's own
+judge (:func:`repro.bench.gate.judge`, no floor) —
 
     limit = median + max(threshold * median, mad_k * MAD)
 
 so a genuine regression trips the gate (exit 3) while run-to-run
 noise inside the historical envelope does not.  When the runs carry
-folded stack profiles, the drift verdict names the offending stacks
-by diffing the latest profile against the per-stack historical
-median (reusing :func:`repro.obs.profile.diff_flame`).
+folded stack profiles, the drift verdict names the stacks that grew
+(:meth:`repro.obs.profile.StackDiff.grown`) in the latest profile
+against the per-stack historical median.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.bench.gate import median_profile
+from repro.bench.gate import judge, median_profile
 from repro.bench.scenarios import per_repeat_columns
 from repro.bench.stats import RobustStats
-from repro.obs.profile import FlameProfile, diff_flame
-from repro.obs.store import TelemetryStore
+from repro.obs.profile import FlameProfile, StackDelta, diff_flame
+from repro.obs.store import TelemetryStore, run_metric
 
 #: Sliding-window defaults, mirroring the bench gate's spirit.
 DEFAULT_WINDOW = 5
@@ -35,15 +35,8 @@ DEFAULT_MAD_K = 6.0
 MIN_HISTORY = 2
 
 
-@dataclass(frozen=True)
-class StackAttribution:
-    stack: str
-    history_s: float
-    latest_s: float
-
-    @property
-    def delta_s(self) -> float:
-        return self.latest_s - self.history_s
+class InsufficientHistory(ValueError):
+    """Fewer than :data:`MIN_HISTORY` earlier runs carry the metric."""
 
 
 @dataclass
@@ -60,7 +53,8 @@ class TrendVerdict:
     latest: float
     latest_run: str
     drift: bool
-    offenders: List[StackAttribution] = field(default_factory=list)
+    #: the stacks that grew, ``self_a`` the history median
+    offenders: List[StackDelta] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -82,8 +76,8 @@ class TrendVerdict:
             "offenders": [
                 {
                     "stack": off.stack,
-                    "history_s": off.history_s,
-                    "latest_s": off.latest_s,
+                    "history_s": off.self_a,
+                    "latest_s": off.self_b,
                     "delta_s": off.delta_s,
                 }
                 for off in self.offenders
@@ -102,20 +96,10 @@ class TrendVerdict:
         for off in self.offenders:
             lines.append(
                 f"  offending stack: {off.stack} "
-                f"({off.history_s:.6f}s -> {off.latest_s:.6f}s, "
+                f"({off.self_a:.6f}s -> {off.self_b:.6f}s, "
                 f"+{off.delta_s:.6f}s)"
             )
         return "\n".join(lines)
-
-
-def _metric_value(record: Mapping[str, object], metric: str) -> Optional[float]:
-    metrics = record.get("metrics")
-    if isinstance(metrics, dict) and metric in metrics:
-        try:
-            return float(metrics[metric])  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            return None
-    return None
 
 
 def _load_profile(
@@ -130,18 +114,17 @@ def _load_profile(
     return None
 
 
-def attribute_stacks(
+def _grown_stacks(
     store: TelemetryStore,
     history: Sequence[Mapping[str, object]],
     latest: Mapping[str, object],
-    limit: int = 5,
-) -> List[StackAttribution]:
-    """Name the stacks that grew in the latest run vs the history median."""
-    base_profiles = []
-    for record in history:
-        profile = _load_profile(store, record, label=str(record.get("run_id", "")))
-        if profile is not None:
-            base_profiles.append(profile)
+) -> List[StackDelta]:
+    """The stacks that grew in the latest run vs the history median."""
+    profiles = [
+        _load_profile(store, record, str(record.get("run_id", "")))
+        for record in history
+    ]
+    base_profiles = [profile for profile in profiles if profile is not None]
     latest_profile = _load_profile(store, latest, label="latest")
     if not base_profiles or latest_profile is None:
         return []
@@ -149,17 +132,7 @@ def attribute_stacks(
     # a stack absent from a run counts as zero time there, so a stack
     # present in only one historical run does not set the bar
     base = median_profile(*per_repeat_columns(base_profiles))
-    diff = diff_flame(base, latest_profile, label_a="history", label_b="latest")
-    offenders = [
-        StackAttribution(
-            stack=delta.stack, history_s=delta.self_a, latest_s=delta.self_b
-        )
-        for delta in diff.deltas
-        # strictly positive growth, ignoring float residue from the
-        # virtual clock's accumulated ticks
-        if delta.delta_s > 1e-9
-    ]
-    return offenders[:limit]
+    return diff_flame(base, latest_profile).grown()
 
 
 def trend_over_runs(
@@ -171,35 +144,32 @@ def trend_over_runs(
     threshold: float = DEFAULT_THRESHOLD,
     mad_k: float = DEFAULT_MAD_K,
 ) -> TrendVerdict:
-    """Judge the newest of ``records`` against the window before it.
+    """Judge the newest of ``records`` carrying ``metric`` against the
+    window before it.
 
-    ``records`` must be in record (journal) order and all carry the
-    metric.  Raises ValueError when fewer than :data:`MIN_HISTORY`
-    historical runs carry it — callers map that to exit code 2.
+    ``records`` must be in record (journal) order.  Raises
+    :class:`InsufficientHistory` when fewer than :data:`MIN_HISTORY`
+    historical runs carry the metric, and ValueError on a malformed or
+    non-finite value; ``obs trend`` maps both to exit code 2.
     """
     if window < MIN_HISTORY:
         raise ValueError(f"--window must be >= {MIN_HISTORY}, got {window}")
-    carrying = [
-        record for record in records if _metric_value(record, metric) is not None
-    ]
+    values = [(record, run_metric(record, metric)) for record in records]
+    carrying = [(record, value) for record, value in values if value is not None]
     if len(carrying) < MIN_HISTORY + 1:
-        raise ValueError(
+        raise InsufficientHistory(
             f"trend {target!r} needs at least {MIN_HISTORY + 1} recorded runs "
             f"carrying metric {metric!r}, found {len(carrying)}"
         )
-    latest = carrying[-1]
+    latest, latest_value = carrying[-1]
     history = carrying[:-1][-window:]
-    samples = [_metric_value(record, metric) for record in history]
-    envelope = RobustStats.from_samples(
-        [value for value in samples if value is not None]
+    envelope = RobustStats.from_samples([value for _, value in history])
+    verdict = judge(
+        f"trend {target!r} [{metric}]", envelope, latest_value, threshold, mad_k
     )
-    limit = envelope.limit(threshold, mad_k)
-    latest_value = _metric_value(latest, metric)
-    assert latest_value is not None
-    drift = latest_value > limit
-    offenders: List[StackAttribution] = []
-    if drift:
-        offenders = attribute_stacks(store, history, latest)
+    offenders: List[StackDelta] = []
+    if verdict.regressed:
+        offenders = _grown_stacks(store, [r for r, _ in history], latest)[:5]
     return TrendVerdict(
         target=target,
         metric=metric,
@@ -207,9 +177,9 @@ def trend_over_runs(
         window=window,
         median=envelope.median,
         mad=envelope.mad,
-        limit=limit,
+        limit=verdict.limit_s,
         latest=latest_value,
         latest_run=str(latest.get("run_id", "")),
-        drift=drift,
+        drift=verdict.regressed,
         offenders=offenders,
     )

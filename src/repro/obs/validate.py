@@ -251,16 +251,17 @@ def validate_bench_baseline(path: PathLike) -> Dict[str, object]:
     return {
         "scenario": baseline.scenario,
         "repeats": baseline.repeats,
-        "stages": len(baseline.stages),
-        "stacks": len(baseline.stacks),
+        "stages": len(baseline.name_profile().stacks),
+        "stacks": len(baseline.stack_profile().stacks),
     }
 
 
 def validate_file(path: PathLike) -> Dict[str, object]:
-    """Dispatch on file suffix: .json → Chrome trace, energy ledger,
-    incident bundle, flame profile, bench baseline or warehouse run
-    record (sniffed on content), .jsonl → event stream, .prom/.txt →
-    Prometheus text, .folded → folded flame-graph stacks."""
+    """Dispatch on file suffix: .json → energy ledger, incident bundle,
+    flame profile, bench baseline or warehouse run record by the family
+    of its ``schema`` (an unknown one is an error), else Chrome trace;
+    .jsonl → event stream, .prom/.txt → Prometheus text, .folded →
+    folded flame-graph stacks."""
     suffix = Path(path).suffix.lower()
     if suffix == ".jsonl":
         return validate_events_jsonl(path)
@@ -281,8 +282,15 @@ def validate_file(path: PathLike) -> Dict[str, object]:
             RUN_SCHEMA: validate_run_record_file,
         }
         document = _read_json(path)
-        schema = str(document.get("schema")) if isinstance(document, dict) else ""
-        return by_schema.get(schema, validate_chrome_trace)(path)
+        if not (isinstance(document, dict) and "schema" in document):
+            return validate_chrome_trace(path)
+        # another version of a known schema goes to that schema's own
+        # reader, which names the version it expected
+        family = str(document["schema"]).split("/")[0] + "/"
+        for schema, validator in by_schema.items():
+            if schema.startswith(family):
+                return validator(path)
+        raise ValueError(f"{path}: unsupported schema {document['schema']!r}")
     if suffix in (".prom", ".txt"):
         return validate_prometheus_text(path)
     raise ValueError(

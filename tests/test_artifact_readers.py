@@ -19,7 +19,9 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import FlameProfile
 from repro.obs.tracing import Span
 
-from tests.test_bench import _GOLDEN_FOREIGN
+from repro.bench import save_baseline
+
+from tests.test_bench import _GOLDEN_FOREIGN, _golden_baseline
 
 GOLDEN = Path(__file__).parent / "golden" / "readers"
 
@@ -146,6 +148,7 @@ def write_pin_artifacts(directory):
         "ledger_planes": directory / "ledger_planes.json",
         "folded": directory / "profile.folded",
         "profile": directory / "profile.json",
+        "baseline": directory / "BENCH_pin.json",
     }
     write_chrome_trace(native_spans(), paths["trace"], counters=COUNTERS)
     paths["counters"].write_text(json.dumps(chrome_trace([], counters=COUNTERS)))
@@ -160,6 +163,7 @@ def write_pin_artifacts(directory):
     paths["folded"].write_text(profile.as_folded())
     paths["profile"].write_text(json.dumps(profile.as_dict(), indent=2, sort_keys=True))
     paths["incident"] = incident_bundle().write(directory)
+    save_baseline(_golden_baseline(), paths["baseline"])
     return paths
 
 
@@ -210,6 +214,10 @@ def _consumer(kind, path):
         return ["obs", "flame", "--diff", str(path), str(path)]
     if kind == "incident":
         return ["obs", "incidents", "list", "--dir", str(path.parent)]
+    if kind == "baseline":
+        trace = path.with_name("consumer_trace.json")
+        write_chrome_trace(native_spans(), trace)
+        return ["obs", "flame", "--trace", str(trace), "--against-baseline", str(path)]
     return None  # the ledger, the events stream: obs validate only
 
 
@@ -240,6 +248,12 @@ def _bad_ledger():
     return json.dumps(document)
 
 
+def _baseline(**fields):
+    return json.dumps(dict(_golden_baseline().as_dict(), **fields))
+
+
+_NAN_WALL = dict(_golden_baseline().wall_s.as_dict(), median=float("nan"))
+
 #: (case id, artifact kind, file name, file text, expected error fragment)
 MALFORMED = [
     # the consumers accepted these at the parent commit
@@ -265,6 +279,11 @@ MALFORMED = [
     (
         "incident-t-not-a-number", "incident", "INC_inc-1.json",
         json.dumps(dict(incident_bundle().as_dict(), t="soon")), "'t' is not a number",
+    ),
+    (
+        "profile-json-foreign-version", "profile", "p.json",
+        json.dumps({"schema": "socrates-profile/9", "stacks": {}}),
+        "unsupported profile schema 'socrates-profile/9'",
     ),
     # obs validate accepted this one
     ("ledger-cluster-plane", "ledger", "l.json", _bad_ledger(), "cluster 'P'"),
@@ -296,6 +315,23 @@ MALFORMED = [
         json.dumps({"traceEvents": [{"name": "a", "ph": "B", "ts": 0, "pid": 1, "tid": 0}]}),
         "unsupported phase",
     ),
+    # bench baselines: obs validate misread a foreign schema as a trace,
+    # and both accepted a NaN median, whose limit can never be exceeded
+    ("baseline-truncated", "baseline", "b.json", _baseline()[:60], "not valid JSON"),
+    ("baseline-empty", "baseline", "b.json", "", "not valid JSON"),
+    (
+        "baseline-foreign-version", "baseline", "b.json",
+        _baseline(schema="socrates-bench/9"),
+        "unsupported baseline schema 'socrates-bench/9'",
+    ),
+    (
+        "baseline-unknown-schema", "baseline", "b.json",
+        _baseline(schema="acme-bench/1"), "schema 'acme-bench/1'",
+    ),
+    (
+        "baseline-nan-median", "baseline", "b.json", _baseline(wall_s=_NAN_WALL),
+        "wall_s: non-finite 'median'",
+    ),
 ]
 
 
@@ -324,6 +360,7 @@ class TestReaderAgreement:
             ("prom", "prom"), ("jsonl", None), ("ledger", None),
             ("ledger_planes", None), ("incident", "incident"),
             ("folded", "profile"), ("profile", "profile"),
+            ("baseline", "baseline"),
         ],
     )
     def test_pin_fixtures_accepted_by_both(self, artifacts, capsys, kind, consumer):

@@ -16,6 +16,7 @@ import pytest
 
 from repro.bench import (
     SCHEMA,
+    BaselineFormatError,
     BenchBaseline,
     RobustStats,
     SpanTimer,
@@ -273,6 +274,20 @@ class TestBaseline:
         bad.write_text(json.dumps({"schema": SCHEMA}))
         with pytest.raises(ValueError, match="required field"):
             load_baseline(bad)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_load_rejects_non_finite(self, synthetic_scenario, tmp_path, value):
+        name, _ = synthetic_scenario
+        document = BenchBaseline.from_result(run_scenario(name, repeats=2)).as_dict()
+        document["wall_s"]["median"] = value
+        path = tmp_path / baseline_filename(name)
+        path.write_text(json.dumps(document))
+        with pytest.raises(BaselineFormatError, match="wall_s: non-finite 'median'"):
+            load_baseline(path)
+        # the gate stops before running anything: a NaN limit could
+        # never be exceeded, so the quantity could never regress
+        argv = ["bench", "gate", "--scenario", name, "--baseline-dir", str(tmp_path)]
+        assert main(argv) == 2
 
 
 # ---------------------------------------------------------------------------

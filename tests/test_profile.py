@@ -20,7 +20,6 @@ from repro.obs.profile import (
     default_targets,
     diff_flame,
     load_chrome_trace,
-    profile_vs_baseline,
     render_svg,
     rescale_tree,
     scaled_end_to_end_s,
@@ -434,7 +433,8 @@ class TestGateStackAttribution:
     def test_profile_vs_baseline_diff(self, tmp_path):
         baseline, result = self._baseline()
         profile = FlameProfile.from_spans(result.spans, label="fresh")
-        diff = profile_vs_baseline(profile, baseline)
+        base = baseline.stack_profile()
+        diff = diff_flame(base, profile, label_a=base.label)
         assert diff.label_a == "BENCH_single_build"
         # medians of a 2-repeat run of a deterministic workload are the
         # observed values themselves: nothing should be new or gone

@@ -514,3 +514,54 @@ class TestTrendPins:
         assert main(argv) == code
         expected = (GOLDEN_TREND / f"gate_history_{case}.txt").read_text()
         assert capsys.readouterr().out == expected
+
+
+class TestTrendRejectsMalformedMetrics:
+    """A run whose metric is non-finite or not a number must stop the
+    trend with exit 2, never pass or be skipped as if it lacked the
+    metric."""
+
+    def store_with(self, tmp_path, values):
+        store = TelemetryStore(tmp_path / "wh")
+        for index, value in enumerate(values):
+            store.record("bench", scenario="s", label=f"r{index}", metrics={"wall_s": value})
+        return store
+
+    @pytest.mark.parametrize(
+        "values, reason",
+        [
+            ([1.0, 1.0, 1.0, float("nan")], "non-finite"),
+            ([1.0, float("nan"), 1.0, 1.0, 50.0], "non-finite"),
+            ([1.0, 1.0, 1.0, "fast"], "'wall_s' is not a number ('fast')"),
+        ],
+        ids=["nan-latest", "nan-in-history", "string-latest"],
+    )
+    def test_obs_trend_exits_2(self, tmp_path, capsys, values, reason):
+        store = self.store_with(tmp_path, values)
+        assert main(["obs", "trend", "s", "--store", str(store.root)]) == 2
+        assert reason in capsys.readouterr().err
+
+    def test_obs_query_aggregate_exits_2(self, tmp_path, capsys):
+        store = self.store_with(tmp_path, [1.0, "fast"])
+        argv = ["obs", "query", "kind=bench", "--store", str(store.root), "--agg", "median:wall_s"]
+        assert main(argv) == 2
+        assert "'wall_s' is not a number ('fast')" in capsys.readouterr().err
+
+    def test_history_gate_does_not_skip_a_nan(self, tmp_path, capsys, monkeypatch):
+        import repro.bench
+
+        fresh = dataclasses.replace(_golden_fresh(), scenario="single_build")
+        monkeypatch.setattr(repro.bench, "run_scenario", lambda name, repeats=3: fresh)
+        save_baseline(BenchBaseline.from_result(fresh), tmp_path / "BENCH_single_build.json")
+        store = TelemetryStore(tmp_path / "wh")
+        for index, value in enumerate([1.0, 1.0, float("nan")]):
+            store.record(
+                "bench", scenario="single_build", label=f"r{index}",
+                metrics={"wall_s": value},
+            )
+        argv = [
+            "bench", "gate", "--scenario", "single_build",
+            "--baseline-dir", str(tmp_path), "--history-store", str(store.root),
+        ]
+        assert main(argv) == 2
+        assert "non-finite" in capsys.readouterr().err

@@ -32,7 +32,6 @@ from repro.bench.baseline import (
     StageBaseline,
     baseline_filename,
     load_baseline,
-    load_baselines,
     save_baseline,
 )
 from repro.bench.gate import (
@@ -84,7 +83,6 @@ __all__ = [
     "compare_result",
     "get_scenario",
     "load_baseline",
-    "load_baselines",
     "mad",
     "median",
     "peak_rss_kb",

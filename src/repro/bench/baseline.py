@@ -32,9 +32,6 @@ PathLike = Union[str, Path]
 #: Current baseline schema identifier.
 SCHEMA = "socrates-bench/1"
 
-#: Glob matching committed baseline files in a directory.
-BASELINE_GLOB = "BENCH_*.json"
-
 
 class BaselineError(ValueError):
     """Base class for baseline-loading failures.
@@ -229,8 +226,8 @@ def load_baseline(path: PathLike) -> BenchBaseline:
     """Read and validate a baseline file.
 
     This is the one loader behind every consumer (bench gate,
-    ``obs flame --against-baseline``, the SLO synthesis in
-    ``obs top``/alerts); failures raise the named
+    ``obs flame --against-baseline``, incident attribution in
+    ``obs incidents record --baseline``); failures raise the named
     :class:`BaselineError` subclasses, all of which are
     ``ValueError``\\ s.
     """
@@ -308,20 +305,3 @@ def load_baseline(path: PathLike) -> BenchBaseline:
         raise
     except (KeyError, TypeError, ValueError) as error:
         raise BaselineFormatError(f"{path}: malformed baseline ({error})") from None
-
-
-def load_baselines(directory: PathLike) -> Dict[str, BenchBaseline]:
-    """Load every ``BENCH_*.json`` under ``directory``, keyed by scenario.
-
-    Any malformed or foreign-schema file aborts the whole load with
-    its named error — a directory of baselines is a unit of trust, so
-    a partially-read set would be worse than a loud failure.
-    """
-    root = Path(directory)
-    if not root.is_dir():
-        raise BaselineNotFoundError(f"{root}: baseline directory does not exist")
-    baselines: Dict[str, BenchBaseline] = {}
-    for path in sorted(root.glob(BASELINE_GLOB)):
-        baseline = load_baseline(path)
-        baselines[baseline.scenario] = baseline
-    return baselines

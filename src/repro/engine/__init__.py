@@ -9,12 +9,7 @@ from repro.engine.backends import ProcessPoolBackend, SerialBackend
 from repro.engine.caching import CacheStats, CompileCache, ProfileCache
 from repro.engine.core import EngineCounters, EvaluationEngine
 from repro.engine.model import DesignPoint, DesignSpace, ProfiledSample
-from repro.engine.telemetry import (
-    StageEvent,
-    TelemetryRecorder,
-    stage_report,
-    stage_report_json,
-)
+from repro.engine.telemetry import StageEvent, TelemetryRecorder, stage_report
 
 __all__ = [
     "CacheStats",
@@ -30,5 +25,4 @@ __all__ = [
     "StageEvent",
     "TelemetryRecorder",
     "stage_report",
-    "stage_report_json",
 ]

@@ -19,7 +19,6 @@ per-stage histogram panel.
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
@@ -71,10 +70,6 @@ def stage_report(events: List[StageEvent]) -> Dict[str, object]:
         "stages": [event.as_dict() for event in events],
         "totals": totals,
     }
-
-
-def stage_report_json(events: List[StageEvent], indent: int = 2) -> str:
-    return json.dumps(stage_report(events), indent=indent)
 
 
 class TelemetryRecorder:

@@ -31,13 +31,14 @@ runtime traces, books joules onto operating points in an
 :class:`~repro.obs.energy.EnergyLedger`, and watches declared
 power/energy budgets (``socrates energy report|timeline|slo``).
 
-The *streaming* layer (:mod:`repro.obs.stream`,
-:mod:`repro.obs.alerts`, :mod:`repro.obs.flight`) turns the same
-telemetry into online verdicts: construct with ``alerting=True`` and
+The *streaming* layer (:mod:`repro.obs.alerts`,
+:mod:`repro.obs.flight`) turns the same telemetry into online
+verdicts: construct with ``alerting=True`` and
 :attr:`Observability.alerts` carries an
-:class:`~repro.obs.alerts.AlertEngine` whose detectors watch span
-closures, metric updates and energy samples on a virtual-time bus,
-snapshotting a bounded flight recorder into deterministic incident
+:class:`~repro.obs.alerts.AlertEngine` that owns a virtual clock,
+rings span closures, metric updates and energy samples into a bounded
+flight recorder, and watches the metric and energy streams with its
+detectors, snapshotting the recorder into deterministic incident
 bundles when an SLO burns (``socrates obs incidents``).  With alerting
 off, ``alerts`` is ``None`` and every hook is one attribute lookup.
 """
@@ -79,9 +80,9 @@ from repro.obs.metrics import (
     NULL_METRICS,
     NullMetricsRegistry,
 )
-from repro.obs.alerts import Alert, AlertEngine, AlertPolicy, latency_slos_from_baselines
+from repro.obs.alerts import Alert, AlertEngine, AlertPolicy
 from repro.obs.audit import IncidentTrace
-from repro.obs.flight import INCIDENT_SCHEMA, FlightRecorder, IncidentBundle
+from repro.obs.flight import INCIDENT_SCHEMA, FlightRecorder, IncidentBundle, StreamEvent
 from repro.obs.profile import (
     FlameProfile,
     ProfileNode,
@@ -108,7 +109,6 @@ from repro.obs.store import (
     recording_observability,
     run_id_for,
 )
-from repro.obs.stream import NULL_BUS, NullTelemetryBus, StreamEvent, TelemetryBus
 from repro.obs.tracing import MAIN_TRACK, NULL_TRACER, NullTracer, Span, Tracer
 
 # NOTE: repro.obs.trend is intentionally not imported here — it pulls
@@ -141,12 +141,10 @@ __all__ = [
     "Histogram",
     "MAIN_TRACK",
     "MetricsRegistry",
-    "NULL_BUS",
     "NULL_METRICS",
     "NULL_OBS",
     "NULL_TRACER",
     "NullMetricsRegistry",
-    "NullTelemetryBus",
     "NullTracer",
     "Observability",
     "ProvenanceEdge",
@@ -157,7 +155,6 @@ __all__ = [
     "SlowdownTracer",
     "Span",
     "StreamEvent",
-    "TelemetryBus",
     "TelemetryStore",
     "Tracer",
     "VirtualClock",
@@ -175,7 +172,6 @@ __all__ = [
     "compose_reason",
     "describe_rank",
     "diff_flame",
-    "latency_slos_from_baselines",
     "load_chrome_trace",
     "parse_slowdowns",
     "recording_observability",

@@ -4,8 +4,8 @@ Three detector families watch the stream the moment telemetry is
 produced, instead of a human reading ``obs diff`` after the fact:
 
 * :class:`EwmaDetector` — exponentially weighted mean/variance with a
-  z-score trigger, for per-stage durations and engine cache-hit rates
-  (slow drifts and spikes against a self-learned baseline);
+  z-score trigger, for the engine cache-hit rates (slow drifts and
+  spikes against a self-learned baseline);
 * :class:`CusumDetector` — two-sided CUSUM change-point detection for
   the ``build_timeline()``-equivalent power(t) series (persistent
   level shifts a z-score would dismiss sample by sample);
@@ -16,13 +16,14 @@ produced, instead of a human reading ``obs diff`` after the fact:
   armed/disarmed latch provides hysteresis so one alert fires per
   excursion instead of one per sample.
 
-The :class:`AlertEngine` wires detectors to the
-:class:`~repro.obs.stream.TelemetryBus` and the
+The :class:`AlertEngine` owns the stream's virtual clock, feeds the
+detectors and rings every event into the
 :class:`~repro.obs.flight.FlightRecorder`; every fired alert snapshots
 the flight rings into a deterministic incident bundle and cross-links
-itself into the adaptation audit log.  All detector state advances on
-*virtual* time only, so seeded runs produce identical verdicts on any
-engine backend.
+itself into the adaptation audit log.  Span closures are only ringed:
+their durations are wall-clock, so no detector consumes them.  All
+detector state advances on *virtual* time only, so seeded runs produce
+identical verdicts on any engine backend.
 """
 
 from __future__ import annotations
@@ -30,16 +31,20 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs.audit import AdaptationAuditLog, IncidentTrace
 from repro.obs.energy import EnergyBudget
-from repro.obs.flight import FlightRecorder, IncidentBundle
+from repro.obs.flight import (
+    ALERT,
+    AUDIT,
+    CLOCK_TOL,
+    METRIC,
+    FlightRecorder,
+    IncidentBundle,
+    StreamEvent,
+)
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
-from repro.obs.stream import ALERT, AUDIT, METRIC, StreamEvent, TelemetryBus
-
-PathLike = Union[str, Path]
 
 __all__ = [
     "Alert",
@@ -48,7 +53,6 @@ __all__ = [
     "BurnRateDetector",
     "CusumDetector",
     "EwmaDetector",
-    "latency_slos_from_baselines",
 ]
 
 _EPS = 1e-12
@@ -277,56 +281,17 @@ class BurnRateDetector:
 class AlertPolicy:
     """Configuration of the alerting layer (all knobs virtual-time).
 
-    ``watch_span_durations`` defaults to off because span durations
-    are *wall-clock*: enabling it is useful interactively but makes
-    alert counts (and therefore incident fingerprints) depend on
-    machine noise, which the deterministic consumers (bench scenarios,
-    ``obs incidents record``) must not do.
+    The detectors' own constants (CUSUM ``k``/``h`` on the package
+    plane, the burn factor, the EWMA ``alpha``/``z``/warm-up) are their
+    constructor defaults.
     """
 
     budgets: Tuple[EnergyBudget, ...] = ()
     burn_short_s: float = 0.25
     burn_long_s: float = 1.0
-    burn_factor: float = 1.0
-    cusum_k: float = 0.5
-    cusum_h: float = 8.0
     cusum_min_samples: int = 24
-    cusum_domain: str = "package"
-    ewma_alpha: float = 0.2
-    ewma_z: float = 4.0
-    ewma_min_samples: int = 16
-    watch_span_durations: bool = False
-    latency_slos: Mapping[str, float] = field(default_factory=dict)
-    latency_short: int = 16
-    latency_long: int = 64
-    latency_fraction: float = 0.25
     flight_capacity: int = 256
     cooldown_s: float = 0.25
-
-
-def latency_slos_from_baselines(
-    baseline_dir: PathLike, slack: float = 5.0
-) -> Dict[str, float]:
-    """Per-span latency limits derived from ``BENCH_*.json`` baselines.
-
-    Each stage's limit is ``slack ×`` its baseline mean duration
-    (median total over the repeat count); where several baselines
-    cover the same span name the loosest limit wins, since the SLO
-    must hold across every workload that produces the span.
-    """
-    from repro.bench.baseline import BaselineNotFoundError, load_baselines
-
-    try:
-        baselines = load_baselines(baseline_dir)
-    except BaselineNotFoundError:
-        raise ValueError(f"{baseline_dir}: not a baseline directory") from None
-    limits: Dict[str, float] = {}
-    for baseline in baselines.values():
-        for name, stat in baseline.name_profile().stacks.items():
-            if stat.count:
-                limit = slack * (stat.self_s / stat.count)
-                limits[name] = max(limits.get(name, 0.0), limit)
-    return limits
 
 
 # -- alerts -------------------------------------------------------------------
@@ -337,7 +302,7 @@ class Alert:
     """One fired alert (immutable, fully serializable)."""
 
     name: str
-    detector: str  # "ewma" | "cusum" | "burn_rate" | "slo_latency" | ...
+    detector: str  # "ewma" | "cusum" | "burn_rate" | "peak_power" | "energy_total"
     severity: str  # "warn" | "page"
     t: float
     value: float
@@ -362,36 +327,6 @@ class Alert:
         return document
 
 
-class _LatencyWindow:
-    """Sliding violation-fraction windows for one span name."""
-
-    __slots__ = ("limit_s", "ring", "short", "violations", "short_violations", "armed")
-
-    def __init__(self, limit_s: float, long_n: int, short_n: int) -> None:
-        self.limit_s = limit_s
-        self.ring: Deque[bool] = deque(maxlen=long_n)
-        self.short: Deque[bool] = deque(maxlen=short_n)
-        self.violations = 0
-        self.short_violations = 0
-        self.armed = True
-
-    def update(self, duration_s: float) -> Tuple[float, float]:
-        violated = duration_s > self.limit_s
-        if len(self.ring) == self.ring.maxlen and self.ring[0]:
-            self.violations -= 1
-        if len(self.short) == self.short.maxlen and self.short[0]:
-            self.short_violations -= 1
-        self.ring.append(violated)
-        self.short.append(violated)
-        if violated:
-            self.violations += 1
-            self.short_violations += 1
-        return (
-            self.short_violations / len(self.short),
-            self.violations / len(self.ring),
-        )
-
-
 # -- the engine ---------------------------------------------------------------
 
 
@@ -399,9 +334,13 @@ class AlertEngine:
     """Streaming detectors + flight recorder + incident pipeline.
 
     The engine is the tracer's span sink and the adaptive loop's
-    invocation hook.  Every event it consumes is (a) ringed into the
-    flight recorder and (b) fed to the relevant detectors; a firing
-    detector appends an :class:`Alert`, snapshots the rings into an
+    invocation hook.  It owns :attr:`now`, the virtual clock: the
+    high-water mark of every stamped event, at which span closures and
+    engine counter updates (which only know "this happened during the
+    current step") are stamped.  Every event it consumes is (a) ringed
+    into the flight recorder and (b) fed to the relevant detectors,
+    except span closures, which are only ringed; a firing detector
+    appends an :class:`Alert`, snapshots the rings into an
     :class:`~repro.obs.flight.IncidentBundle`, bumps the
     ``socrates_alerts_total`` / ``socrates_incidents_total`` counters
     and cross-links an :class:`~repro.obs.audit.IncidentTrace` into
@@ -419,25 +358,19 @@ class AlertEngine:
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.audit = audit
         self.kernel = kernel
-        self.bus = TelemetryBus()
+        self.now = 0.0
         self.flight = FlightRecorder(capacity=self.policy.flight_capacity)
-        self.bus.subscribe(self.flight.record)
         self.alerts: List[Alert] = []
         self.incidents: List[IncidentBundle] = []
         self.suppressed = 0
         self.baseline = None  # optional BenchBaseline for attribution diffs
         self._last_fired: Dict[str, float] = {}
-        self._cusum = CusumDetector(
-            k=self.policy.cusum_k,
-            h=self.policy.cusum_h,
-            min_samples=self.policy.cusum_min_samples,
-        )
+        self._cusum = CusumDetector(min_samples=self.policy.cusum_min_samples)
         self._burn = [
             BurnRateDetector(
                 budget,
                 short_s=self.policy.burn_short_s,
                 long_s=self.policy.burn_long_s,
-                factor=self.policy.burn_factor,
             )
             for budget in self.policy.budgets
         ]
@@ -446,24 +379,26 @@ class AlertEngine:
         self._needs_domains = any(
             budget.domain != "package" for budget in self.policy.budgets
         )
-        self._cusum_package = self.policy.cusum_domain == "package"
-        # Span closures only feed detectors when the policy asks for
-        # them; otherwise on_span is just the flight-ring append.
-        self._span_checks = bool(
-            self.policy.watch_span_durations or self.policy.latency_slos
-        )
-        self._duration_ewma: Dict[str, EwmaDetector] = {}
         self._metric_ewma: Dict[str, EwmaDetector] = {}
-        self._latency: Dict[str, _LatencyWindow] = {}
 
     # -- helpers ---------------------------------------------------------------
 
-    def _make_ewma(self) -> EwmaDetector:
-        return EwmaDetector(
-            alpha=self.policy.ewma_alpha,
-            z_threshold=self.policy.ewma_z,
-            min_samples=self.policy.ewma_min_samples,
-        )
+    def publish(self, event: StreamEvent) -> None:
+        """Advance the clock to ``event.t`` and ring the event.
+
+        Raises ``ValueError`` if ``event.t`` regresses behind the
+        clock: virtual time is the determinism backbone and an
+        out-of-order event means a producer mis-stamped it.
+        """
+        if event.t < self.now - CLOCK_TOL:
+            raise ValueError(
+                f"stream event {event.name!r} at t={event.t:.9f}s regresses "
+                f"behind the bus clock (now={self.now:.9f}s): virtual time "
+                "must be non-decreasing"
+            )
+        if event.t > self.now:
+            self.now = event.t
+        self.flight.record(event)
 
     def _fire(self, alert: Alert) -> None:
         last = self._last_fired.get(alert.name)
@@ -483,7 +418,7 @@ class AlertEngine:
         ).inc()
         # The alert itself becomes a stream event *before* the
         # snapshot, so the bundle's alert ring ends with this alert.
-        self.bus.publish(
+        self.publish(
             StreamEvent(
                 ALERT,
                 alert.t,
@@ -524,85 +459,8 @@ class AlertEngine:
     # -- producers -------------------------------------------------------------
 
     def on_span(self, span) -> None:
-        """Tracer sink: consume one span closure at bus virtual time."""
-        t = self.bus._now
-        # Inlined FlightRecorder._append_span: the sink fires for every
-        # span closure in the run, and the bus high-water mark never
-        # regresses, so the monotone check is satisfied by construction.
-        flight = self.flight
-        ring = flight._span_ring
-        if len(ring) == flight.capacity:
-            flight.evicted += 1
-            if flight.on_evict is not None:
-                flight.on_evict(flight._wrap_span(ring[0]))
-        ring.append((t, span))
-        flight._span_last_t = t
-        flight.recorded += 1
-        if not self._span_checks:
-            return
-        duration = span.duration_s
-        policy = self.policy
-        if policy.watch_span_durations:
-            detector = self._duration_ewma.get(span.name)
-            if detector is None:
-                detector = self._duration_ewma[span.name] = self._make_ewma()
-            z = detector.update(duration)
-            if z is not None:
-                self._fire(
-                    Alert(
-                        name=f"span_duration:{span.name}",
-                        detector="ewma",
-                        severity="warn",
-                        t=t,
-                        value=duration,
-                        threshold=policy.ewma_z,
-                        message=(
-                            f"span {span.name!r} took {duration * 1e3:.3f} ms, "
-                            f"z={z:+.1f} against its EWMA baseline "
-                            f"(mean {detector.mean * 1e3:.3f} ms)"
-                        ),
-                        context={"z": z, "mean_s": detector.mean},
-                    )
-                )
-        limit = policy.latency_slos.get(span.name) if policy.latency_slos else None
-        if limit is not None:
-            window = self._latency.get(span.name)
-            if window is None:
-                window = self._latency[span.name] = _LatencyWindow(
-                    limit, policy.latency_long, policy.latency_short
-                )
-            short_frac, long_frac = window.update(duration)
-            burning = (
-                len(window.ring) == window.ring.maxlen
-                and short_frac > policy.latency_fraction
-                and long_frac > policy.latency_fraction
-            )
-            if window.armed and burning:
-                window.armed = False
-                self._fire(
-                    Alert(
-                        name=f"latency_slo:{span.name}",
-                        detector="slo_latency",
-                        severity="page",
-                        t=t,
-                        value=short_frac,
-                        threshold=policy.latency_fraction,
-                        message=(
-                            f"span {span.name!r} violated its "
-                            f"{limit * 1e3:.3f} ms SLO in "
-                            f"{short_frac:.0%} of the last "
-                            f"{len(window.short)} closures "
-                            f"({long_frac:.0%} over {len(window.ring)})"
-                        ),
-                        context={
-                            "limit_s": limit,
-                            "short_fraction": short_frac,
-                            "long_fraction": long_frac,
-                        },
-                    )
-                )
-            elif not window.armed and short_frac <= policy.latency_fraction:
-                window.armed = True
+        """Tracer sink: ring one span closure at the current virtual time."""
+        self.flight.record_span(self.now, span)
 
     def observe_invocation(self, kernel: str, record, app=None) -> None:
         """Adaptive-loop hook: one finished invocation's energy sample."""
@@ -615,26 +473,13 @@ class AlertEngine:
             from repro.obs.energy import attribute_record
 
             powers = attribute_record(app, record)
-        # High-rate fast path: the sample goes straight to the flight
-        # recorder (the bus's only production subscriber) as a raw
-        # ``(t, record)`` pair — no event allocation per invocation.
-        # The bus clock still advances, and the recorder enforces the
-        # same monotone virtual-time contract ``publish`` would.
-        bus = self.bus
-        if end > bus._now:
-            bus._now = end
-        bus.events_published += 1
-        # Inlined FlightRecorder._append_energy — like on_span, the
-        # monotone check is satisfied by construction here.
-        flight = self.flight
-        ring = flight._energy_ring
-        if len(ring) == flight.capacity:
-            flight.evicted += 1
-            if flight.on_evict is not None:
-                flight.on_evict(flight._wrap_energy(ring[0]))
-        ring.append((end, record))
-        flight._energy_last_t = end
-        flight.recorded += 1
+        # High-rate path: the sample is ringed as a raw ``(t, record)``
+        # pair (no event allocation per invocation); the energy ring's
+        # order check rejects a regressing timestamp before the clock
+        # or any detector moves.
+        self.flight.record_energy(end, record)
+        if end > self.now:
+            self.now = end
         self._ingest_power(start, end, powers, record.power_w)
 
     def _ingest_power(
@@ -651,31 +496,24 @@ class AlertEngine:
         common case (every budget and the CUSUM on the package plane)
         costs no dict at all.
         """
-        if powers is not None:
-            watched = powers.get(self.policy.cusum_domain, 0.0)
-        else:
-            watched = package_w if self._cusum_package else 0.0
+        watched = powers.get("package", 0.0) if powers is not None else package_w
         statistic = self._cusum.update(watched)
         if statistic is not None:
             self._fire(
                 Alert(
-                    name=f"power_changepoint:{self.policy.cusum_domain}",
+                    name="power_changepoint:package",
                     detector="cusum",
                     severity="warn",
                     t=end,
                     value=watched,
-                    threshold=self.policy.cusum_h,
+                    threshold=self._cusum.h,
                     message=(
-                        f"CUSUM change point on the "
-                        f"{self.policy.cusum_domain} power plane: "
+                        f"CUSUM change point on the package power plane: "
                         f"level shifted {'up' if statistic > 0 else 'down'} "
-                        f"from {self._reference_w():.2f} W "
+                        f"from {self._cusum.reference_mean:.2f} W "
                         f"(now {watched:.2f} W, statistic {statistic:+.1f})"
                     ),
-                    context={
-                        "domain": self.policy.cusum_domain,
-                        "statistic": statistic,
-                    },
+                    context={"domain": "package", "statistic": statistic},
                 )
             )
         for detector in self._burn:
@@ -697,7 +535,7 @@ class AlertEngine:
                         severity="page",
                         t=end,
                         value=breach["short_burn"],
-                        threshold=self.policy.burn_factor,
+                        threshold=detector.factor,
                         message=(
                             f"budget {budget.name!r} burning on the "
                             f"{budget.domain} plane: "
@@ -763,12 +601,9 @@ class AlertEngine:
                     )
                 )
 
-    def _reference_w(self) -> float:
-        return self._cusum.reference_mean
-
     def observe_engine(self, counters) -> None:
         """Metric-update hook: EWMA over the engine cache-hit rates."""
-        t = self.bus.now
+        t = self.now
         for kind, hits, misses in (
             ("compile", counters.compile_hits, counters.compile_misses),
             ("profile", counters.profile_hits, counters.profile_misses),
@@ -779,7 +614,7 @@ class AlertEngine:
                 continue
             rate = hits / total
             name = f"cache_hit_rate:{kind}"
-            self.bus.publish(
+            self.publish(
                 StreamEvent(
                     METRIC,
                     t,
@@ -790,7 +625,7 @@ class AlertEngine:
             )
             detector = self._metric_ewma.get(name)
             if detector is None:
-                detector = self._metric_ewma[name] = self._make_ewma()
+                detector = self._metric_ewma[name] = EwmaDetector()
             z = detector.update(rate)
             if z is not None:
                 self._fire(
@@ -800,7 +635,7 @@ class AlertEngine:
                         severity="warn",
                         t=t,
                         value=rate,
-                        threshold=self.policy.ewma_z,
+                        threshold=detector.z_threshold,
                         message=(
                             f"{kind} cache hit rate {rate:.1%} deviates "
                             f"z={z:+.1f} from its EWMA baseline "
@@ -825,24 +660,13 @@ class AlertEngine:
             sequence = entry.sequence
             attributes["sequence"] = entry.sequence
             attributes["reason"] = entry.reason
-        self.bus.publish(
+        self.publish(
             StreamEvent(
                 AUDIT,
-                max(self.bus.now, now),
+                max(self.now, now),
                 "adaptation.switch",
                 float(sequence),
                 attributes=attributes,
             )
         )
         self._cusum.reset()
-
-    # -- reporting -------------------------------------------------------------
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "alerts": len(self.alerts),
-            "suppressed": self.suppressed,
-            "incidents": [bundle.incident_id for bundle in self.incidents],
-            "events_published": self.bus.events_published,
-            "flight": self.flight.counts(),
-        }

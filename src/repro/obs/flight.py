@@ -5,13 +5,16 @@ online adaptation is only viable with strictly bounded monitoring
 overhead), so the flight recorder keeps one bounded ring buffer per
 telemetry kind — spans, metric updates, energy-plane samples,
 adaptation-audit entries, fired alerts — and evicts oldest-first in
-strict virtual-time order.  When an alert fires, the rings are
-snapshotted into a schema-versioned **incident bundle**
-(``socrates-incident/1``) with automatic root-cause attribution: the
-violated energy domain, the operating point that dominated the energy
-spent inside the window, and (when a bench baseline is at hand) a
-span-name diff (:func:`repro.obs.profile.diff_flame` over per-name
-totals) against the baseline's stage profile.
+strict virtual-time order.  The ring element is the immutable
+:class:`StreamEvent`, stamped in virtual seconds (the simulated axis
+the scenario engine advances deterministically, never the wall
+clock).  When an alert fires, the rings are snapshotted into a
+schema-versioned **incident bundle** (``socrates-incident/1``) with
+automatic root-cause attribution: the violated energy domain, the
+operating point that dominated the energy spent inside the window,
+and (when a bench baseline is at hand) a span-name diff
+(:func:`repro.obs.profile.diff_flame` over per-name totals) against
+the baseline's stage profile.
 
 Incident identifiers are content addresses: ``inc-`` plus a SHA-256
 prefix over the *virtual-time* content of the bundle (wall-clock span
@@ -21,6 +24,7 @@ every time it is repeated.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from collections import deque
@@ -34,14 +38,20 @@ from repro.obs.profile import (
     name_diff_dict,
     name_totals,
 )
-from repro.obs.stream import ALERT, AUDIT, ENERGY, EVENT_KINDS, METRIC, SPAN, StreamEvent
 
 PathLike = Union[str, Path]
 
 __all__ = [
+    "ALERT",
+    "AUDIT",
+    "ENERGY",
+    "EVENT_KINDS",
     "INCIDENT_SCHEMA",
+    "METRIC",
+    "SPAN",
     "FlightRecorder",
     "IncidentBundle",
+    "StreamEvent",
     "attribute_incident",
     "incident_fingerprint",
     "incident_paths",
@@ -50,6 +60,14 @@ __all__ = [
 
 #: Schema tag written into every bundle; bump on breaking layout changes.
 INCIDENT_SCHEMA = "socrates-incident/1"
+
+# Telemetry kinds: the flight-recorder ring names.
+SPAN = "span"
+METRIC = "metric"
+ENERGY = "energy"
+AUDIT = "audit"
+ALERT = "alert"
+EVENT_KINDS = (SPAN, METRIC, ENERGY, AUDIT, ALERT)
 
 #: ring kind -> window key in the incident bundle
 _WINDOW_KEYS = {
@@ -60,6 +78,76 @@ _WINDOW_KEYS = {
     ALERT: "alerts",
 }
 
+# Tolerance for clock comparisons: virtual timestamps are sums of
+# floating-point durations, so two "simultaneous" events can differ in
+# the last ulp without being out of order.
+CLOCK_TOL = 1e-9
+
+
+class StreamEvent:
+    """One immutable telemetry event on the virtual-time stream.
+
+    ``t`` is virtual seconds.  ``value`` is the scalar the online
+    detectors consume (a power in watts, a counter value, an alert
+    threshold...).  ``attributes`` is a *small* mapping of labels;
+    ``payload`` optionally references the producing object (a ``Span``
+    or ``InvocationRecord``) so the hot path never copies it.
+    """
+
+    __slots__ = ("kind", "t", "name", "value", "attributes", "payload")
+
+    def __init__(
+        self,
+        kind: str,
+        t: float,
+        name: str,
+        value: float = 0.0,
+        attributes: Optional[Mapping[str, object]] = None,
+        payload: object = None,
+    ) -> None:
+        if kind not in EVENT_KINDS:
+            raise ValueError(
+                f"unknown stream event kind {kind!r} (expected one of {EVENT_KINDS})"
+            )
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "t", float(t))
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "value", float(value))
+        object.__setattr__(self, "attributes", attributes if attributes is not None else {})
+        object.__setattr__(self, "payload", payload)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("StreamEvent is immutable")
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"StreamEvent(kind={self.kind!r}, t={self.t:.6f}, "
+            f"name={self.name!r}, value={self.value!r})"
+        )
+
+    def as_dict(self) -> dict:
+        """Materialize for an incident bundle (payload expanded)."""
+        document = {
+            "kind": self.kind,
+            "t": self.t,
+            "name": self.name,
+            "value": self.value,
+        }
+        if self.attributes:
+            document["attributes"] = {
+                key: self.attributes[key] for key in sorted(self.attributes)
+            }
+        payload = self.payload
+        if payload is not None:
+            as_dict = getattr(payload, "as_dict", None)
+            if callable(as_dict):
+                document["payload"] = as_dict()
+            elif dataclasses.is_dataclass(payload):
+                document["payload"] = dataclasses.asdict(payload)
+            else:
+                document["payload"] = payload
+        return document
+
 
 class FlightRecorder:
     """Bounded per-kind ring buffers over the telemetry stream.
@@ -69,6 +157,13 @@ class FlightRecorder:
     slow kinds).  Appends must be non-decreasing in virtual time per
     ring; a regression raises ``ValueError`` because it would corrupt
     the eviction order the incident fingerprint relies on.
+
+    The span and energy rings are the hot ones: every span closure and
+    every invocation's energy sample in the whole run lands there, but
+    only ``capacity`` survive.  :meth:`record_span` and
+    :meth:`record_energy` therefore store raw ``(t, producer)`` pairs,
+    wrapped into :class:`StreamEvent` objects lazily at inspection time, so
+    the steady-state cost per closure is a tuple and a deque append.
     """
 
     def __init__(
@@ -80,137 +175,61 @@ class FlightRecorder:
             raise ValueError(f"flight recorder capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.on_evict = on_evict
-        self._rings: Dict[str, Deque[StreamEvent]] = {
-            kind: deque(maxlen=capacity)
-            for kind in EVENT_KINDS
-            if kind not in (SPAN, ENERGY)
+        self._rings: Dict[str, Deque[object]] = {
+            kind: deque(maxlen=capacity) for kind in EVENT_KINDS
         }
-        # The span and energy rings are the hot ones: every span
-        # closure and every invocation's energy sample in the whole run
-        # lands here, but only ``capacity`` survive.  They store raw
-        # ``(t, producer)`` pairs and wrap them into StreamEvents
-        # lazily at inspection time, so the steady-state cost per
-        # closure is a tuple and a deque append — no event allocation.
-        # (Events that do arrive through the bus are stored as-is and
-        # need no wrapping either.)
-        self._span_ring: Deque[object] = deque(maxlen=capacity)
-        self._energy_ring: Deque[object] = deque(maxlen=capacity)
-        self._span_last_t: Optional[float] = None
-        self._energy_last_t: Optional[float] = None
-        self._last_t: Dict[str, float] = {}
+        self._last_t: Dict[str, float] = {kind: float("-inf") for kind in EVENT_KINDS}
         self.recorded = 0
         self.evicted = 0
 
     def record(self, event: StreamEvent) -> None:
-        """Append one event to its kind's ring (the bus subscriber)."""
-        kind = event.kind
-        if kind == SPAN:
-            self._append_span(event.t, event)
-            return
-        if kind == ENERGY:
-            self._append_energy(event.t, event)
-            return
-        ring = self._rings[kind]
-        last = self._last_t.get(kind)
-        if last is not None and event.t < last - 1e-9:
-            raise ValueError(
-                f"flight recorder: {kind} event {event.name!r} at "
-                f"t={event.t:.9f}s arrives behind the ring's last event "
-                f"(t={last:.9f}s); virtual-time order is mandatory"
-            )
-        if len(ring) == ring.maxlen:
-            self.evicted += 1
-            if self.on_evict is not None:
-                self.on_evict(ring[0])
-        ring.append(event)
-        self._last_t[kind] = event.t
-        self.recorded += 1
+        """Append one event to its kind's ring."""
+        self._append(event.kind, event.t, event)
 
     def record_span(self, t: float, span: object) -> None:
-        """Hot-path helper: ring a span closure stamped at bus time."""
-        self._append_span(t, (t, span))
+        """Hot-path helper: ring a span closure stamped at ``t``."""
+        self._append(SPAN, t, (t, span))
 
     def record_energy(self, t: float, record: object) -> None:
         """Hot-path helper: ring one invocation's energy sample."""
-        self._append_energy(t, (t, record))
+        self._append(ENERGY, t, (t, record))
 
-    def _append_span(self, t: float, entry: object) -> None:
-        last = self._span_last_t
-        if last is not None and t < last - 1e-9:
+    def _append(self, kind: str, t: float, entry: object) -> None:
+        """The one append path: order check, eviction, append."""
+        last = self._last_t[kind]
+        if t < last - CLOCK_TOL:
             raise ValueError(
-                f"flight recorder: span event at t={t:.9f}s arrives "
+                f"flight recorder: {kind} event at t={t:.9f}s arrives "
                 f"behind the ring's last event (t={last:.9f}s); "
                 f"virtual-time order is mandatory"
             )
-        ring = self._span_ring
+        ring = self._rings[kind]
         if len(ring) == self.capacity:
             self.evicted += 1
             if self.on_evict is not None:
-                self.on_evict(self._wrap_span(ring[0]))
+                self.on_evict(self._wrap(kind, ring[0]))
         ring.append(entry)
-        self._span_last_t = t
-        self.recorded += 1
-
-    def _append_energy(self, t: float, entry: object) -> None:
-        last = self._energy_last_t
-        if last is not None and t < last - 1e-9:
-            raise ValueError(
-                f"flight recorder: energy event at t={t:.9f}s arrives "
-                f"behind the ring's last event (t={last:.9f}s); "
-                f"virtual-time order is mandatory"
-            )
-        ring = self._energy_ring
-        if len(ring) == self.capacity:
-            self.evicted += 1
-            if self.on_evict is not None:
-                self.on_evict(self._wrap_energy(ring[0]))
-        ring.append(entry)
-        self._energy_last_t = t
+        self._last_t[kind] = t
         self.recorded += 1
 
     @staticmethod
-    def _wrap_span(entry: object) -> StreamEvent:
+    def _wrap(kind: str, entry: object) -> StreamEvent:
         if type(entry) is not tuple:
-            return entry  # arrived through the bus as a real event
-        t, span = entry
-        return StreamEvent(
-            SPAN,
-            t,
-            getattr(span, "name", "?"),
-            getattr(span, "duration_s", 0.0),
-            payload=span,
-        )
-
-    @staticmethod
-    def _wrap_energy(entry: object) -> StreamEvent:
-        if type(entry) is not tuple:
-            return entry
-        t, record = entry
-        return StreamEvent(
-            ENERGY,
-            t,
-            "power.package",
-            getattr(record, "power_w", 0.0),
-            payload=record,
-        )
+            return entry  # recorded as a real event
+        t, producer = entry
+        if kind == SPAN:
+            name = getattr(producer, "name", "?")
+            value = getattr(producer, "duration_s", 0.0)
+        else:
+            name = "power.package"
+            value = getattr(producer, "power_w", 0.0)
+        return StreamEvent(kind, t, name, value, payload=producer)
 
     def events(self, kind: str) -> List[StreamEvent]:
-        if kind == SPAN:
-            return [self._wrap_span(entry) for entry in self._span_ring]
-        if kind == ENERGY:
-            return [self._wrap_energy(entry) for entry in self._energy_ring]
-        return list(self._rings[kind])
+        return [self._wrap(kind, entry) for entry in self._rings[kind]]
 
     def counts(self) -> Dict[str, int]:
-        counts = {}
-        for kind in EVENT_KINDS:
-            if kind == SPAN:
-                counts[kind] = len(self._span_ring)
-            elif kind == ENERGY:
-                counts[kind] = len(self._energy_ring)
-            else:
-                counts[kind] = len(self._rings[kind])
-        return counts
+        return {kind: len(self._rings[kind]) for kind in EVENT_KINDS}
 
     def snapshot(self) -> Dict[str, List[dict]]:
         """Materialize the rings into the incident-bundle window."""
@@ -516,7 +535,7 @@ def load_incident(path: PathLike) -> Dict[str, object]:
                     f"{path}: window {kind}[{index}] lacks a numeric 't'"
                 )
             t = float(event["t"])
-            if last is not None and t < last - 1e-9:
+            if last is not None and t < last - CLOCK_TOL:
                 raise ValueError(
                     f"{path}: window {kind}[{index}] at t={t!r}s breaks "
                     f"virtual-time order (previous event at t={last!r}s)"

@@ -1,9 +1,9 @@
-"""Tests for `repro.obs.alerts` + `repro.obs.flight` + `repro.obs.stream`.
+"""Tests for `repro.obs.alerts` + `repro.obs.flight`.
 
-The streaming SLO alerting layer: virtual-time telemetry bus, online
-detectors (EWMA, CUSUM, multi-window burn rate), the bounded flight
-recorder, and the incident pipeline (bundle build, schema validation,
-deterministic fingerprints, root-cause attribution).
+The streaming SLO alerting layer: the alert engine's virtual clock,
+online detectors (EWMA, CUSUM, multi-window burn rate), the bounded
+flight recorder, and the incident pipeline (bundle build, schema
+validation, deterministic fingerprints, root-cause attribution).
 """
 
 import dataclasses
@@ -28,78 +28,47 @@ from repro.obs.alerts import (
 )
 from repro.obs.energy import EnergyBudget
 from repro.obs.flight import (
+    ALERT,
+    AUDIT,
+    ENERGY,
+    EVENT_KINDS,
     INCIDENT_SCHEMA,
+    METRIC,
+    SPAN,
     FlightRecorder,
     IncidentBundle,
+    StreamEvent,
     attribute_incident,
     incident_fingerprint,
     incident_paths,
     load_incident,
 )
-from repro.obs.stream import (
-    ENERGY,
-    EVENT_KINDS,
-    METRIC,
-    SPAN,
-    NULL_BUS,
-    StreamEvent,
-    TelemetryBus,
-)
 from repro.obs.validate import validate_file, validate_incident
 from repro.polybench.suite import load
 
 
-# -- the virtual-time bus -----------------------------------------------------
+# -- the virtual-time stream --------------------------------------------------
 
 
 class TestTelemetryBus:
+    """The stream's virtual clock, owned by the alert engine, and its
+    immutable events."""
+
     def test_clock_is_high_water_mark(self):
-        bus = TelemetryBus()
-        bus.publish(StreamEvent(ENERGY, 1.0, "power.package", 10.0))
-        bus.publish(StreamEvent(ENERGY, 2.5, "power.package", 11.0))
-        assert bus.now == 2.5
-        assert bus.events_published == 2
+        engine = AlertEngine()
+        engine.publish(StreamEvent(ENERGY, 1.0, "power.package", 10.0))
+        engine.publish(StreamEvent(ENERGY, 2.5, "power.package", 11.0))
+        assert engine.now == 2.5
+        assert engine.flight.counts()[ENERGY] == 2
 
     def test_regression_is_a_named_error(self):
-        bus = TelemetryBus()
-        bus.publish(StreamEvent(ENERGY, 2.0, "power.package", 10.0))
-        with pytest.raises(ValueError, match="virtual time"):
-            bus.publish(StreamEvent(ENERGY, 1.0, "power.package", 10.0))
-
-    def test_advance_is_silent_max(self):
-        bus = TelemetryBus()
-        bus.advance(3.0)
-        bus.advance(1.0)  # no error, no regression
-        assert bus.now == 3.0
-
-    def test_stamp_publishes_at_now(self):
-        bus = TelemetryBus()
-        bus.advance(4.0)
-        seen = []
-        bus.subscribe(seen.append)
-        bus.stamp(METRIC, "hits", 7.0)
-        assert seen[0].t == 4.0
-        assert seen[0].value == 7.0
-
-    def test_subscribers_fan_out_in_order(self):
-        bus = TelemetryBus()
-        order = []
-        bus.subscribe(lambda event: order.append(("a", event.name)))
-        bus.subscribe(lambda event: order.append(("b", event.name)))
-        bus.publish(StreamEvent(METRIC, 0.0, "x"))
-        assert order == [("a", "x"), ("b", "x")]
-
-    def test_null_bus_swallows_everything(self):
-        from repro.obs.stream import NullTelemetryBus
-
-        bus = NullTelemetryBus()
-        seen = []
-        bus.subscribe(seen.append)  # subscription is discarded
-        bus.publish(StreamEvent(METRIC, 0.0, "x"))
-        bus.stamp(METRIC, "y", 1.0)
-        assert seen == []
-        assert bus.enabled is False
-        assert NULL_BUS.enabled is False
+        engine = AlertEngine()
+        engine.publish(StreamEvent(ENERGY, 2.0, "power.package", 10.0))
+        for kind in (ENERGY, ALERT, METRIC, AUDIT):
+            with pytest.raises(ValueError, match="virtual time"):
+                engine.publish(StreamEvent(kind, 1.0, "x"))
+        assert engine.now == 2.0
+        assert engine.flight.recorded == 1
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
@@ -260,6 +229,11 @@ class TestFlightRecorder:
         flight.record_energy(5.0, object())
         with pytest.raises(ValueError, match="virtual-time order"):
             flight.record_energy(4.0, object())
+        for kind in (ALERT, METRIC, AUDIT):
+            flight.record(StreamEvent(kind, 2.0, "x"))
+            with pytest.raises(ValueError, match="virtual-time order"):
+                flight.record(StreamEvent(kind, 1.0, "x"))
+        assert flight.recorded == 5
 
     def test_kinds_ring_independently(self):
         flight = FlightRecorder(capacity=2)
@@ -368,10 +342,23 @@ class TestAlertEngine:
             duration_s = 0.01
 
         engine = AlertEngine()
-        engine.bus.advance(1.0)
+        engine.now = 1.0
         engine.on_span(FakeSpan())
         assert engine.flight.counts()[SPAN] == 1
         assert engine.flight.events(SPAN)[0].t == 1.0
+
+    def test_regressing_invocation_is_rejected(self):
+        engine = AlertEngine()
+        engine.observe_invocation(
+            "fake", FakeRecord(timestamp=2.0, time_s=0.5, power_w=10.0)
+        )
+        with pytest.raises(ValueError, match="virtual-time order"):
+            engine.observe_invocation(
+                "fake", FakeRecord(timestamp=1.0, time_s=0.5, power_w=10.0)
+            )
+        # rejected before the clock or the ring moved
+        assert engine.now == 2.0
+        assert engine.flight.counts()[ENERGY] == 1
 
     def test_bundle_schema_and_validation(self, tmp_path):
         engine = burning_engine()
@@ -553,26 +540,33 @@ class TestAlertOverheadProbe:
             name = "s"
             duration_s = 0.0
 
-        engine.bus.advance(1.0)
+        engine.now = 1.0
         engine.on_span(FakeSpan())
         assert probe.hooks == 1
         assert 0.0 < probe.hook_s <= 0.001
 
-        # a hook that stalls past the clamp is billed the clamp only
-        original = engine.flight._append_span
+        # a hook that stalls past the clamp is billed the clamp only;
+        # both hooks reach the recorder through its one append path
+        original = engine.flight._append
 
-        def slow(t, entry):
+        def slow(kind, t, entry):
             time.sleep(0.005)
-            original(t, entry)
+            original(kind, t, entry)
 
-        engine.flight._append_span = slow
+        engine.flight._append = slow
+        probe.clamped = 0
+        before = probe.hook_s
+        engine.on_span(FakeSpan())
+        assert probe.hook_s - before == pytest.approx(0.001)
         before = probe.hook_s
         engine.observe_invocation(
             "fake", FakeRecord(timestamp=2.0, time_s=1.0, power_w=1.0)
         )
-        # observe_invocation does not call _append_span, so use the
-        # recorded totals to check the clamp arithmetic instead
-        assert probe.hook_s - before <= 0.0011
+        assert probe.hook_s - before == pytest.approx(0.001)
+        assert probe.clamped == 2
+        assert probe.hooks == 3
+        assert engine.flight.counts()[SPAN] == 2
+        assert engine.flight.counts()[ENERGY] == 1
 
     def test_overhead_ratio(self):
         from repro.bench.measure import AlertOverheadProbe

@@ -254,6 +254,10 @@ def _baseline(**fields):
 
 _NAN_WALL = dict(_golden_baseline().wall_s.as_dict(), median=float("nan"))
 
+
+def _incident(**fields):
+    return json.dumps(dict(incident_bundle().as_dict(), **fields))
+
 #: (case id, artifact kind, file name, file text, expected error fragment)
 MALFORMED = [
     # the consumers accepted these at the parent commit
@@ -331,6 +335,14 @@ MALFORMED = [
     (
         "baseline-nan-median", "baseline", "b.json", _baseline(wall_s=_NAN_WALL),
         "wall_s: non-finite 'median'",
+    ),
+    # incident bundles: the generic truncated / empty / foreign-version cases
+    ("incident-truncated", "incident", "INC_inc-2.json", _incident()[:60], "not valid JSON"),
+    ("incident-empty", "incident", "INC_inc-3.json", "", "not valid JSON"),
+    (
+        "incident-foreign-version", "incident", "INC_inc-4.json",
+        _incident(schema="socrates-incident/9"),
+        "unknown schema 'socrates-incident/9'",
     ),
 ]
 

@@ -9,7 +9,10 @@ Two contracts every refactor of ``repro.cli`` must keep:
   headings differ between versions;
 * the warehouse run ids of ``obs runs record`` and of the ``--store``
   flags, each at a small fixed configuration.  A run id hashes only the
-  run's identity, so it does not depend on the platform.
+  run's identity, so it does not depend on the platform.  Each record's
+  artifact list, in order, as (name, sha256, bytes), and its metrics
+  are pinned too (``tests/golden/run_records.json``): those are seeded
+  virtual-clock content, so they change only when a recorded byte does.
 
 Regenerate the action table after an intended CLI change with::
 
@@ -28,6 +31,7 @@ from repro.cli import build_parser, main
 from repro.obs.store import TelemetryStore
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_parsers.json"
+RECORDS = Path(__file__).parent / "golden" / "run_records.json"
 FAST = ["--threads", "1,4", "--repetitions", "1"]
 
 
@@ -119,6 +123,18 @@ def _only_run_id(store: Path) -> str:
     return ids[0]
 
 
+def _assert_record_pinned(store: Path, run_id: str, case: str) -> None:
+    """The stored artifacts, in order, and the metrics match the golden."""
+    record = TelemetryStore(store).load_run(run_id)
+    expected = json.loads(RECORDS.read_text())[case]
+    artifacts = [
+        [entry["name"], entry["sha256"], entry["bytes"]]
+        for entry in record["artifacts"]
+    ]
+    assert artifacts == expected["artifacts"]
+    assert record["metrics"] == expected["metrics"]
+
+
 class TestRunIds:
     @pytest.mark.parametrize(
         "argv, run_id",
@@ -132,11 +148,13 @@ class TestRunIds:
     )
     def test_obs_runs_record(self, tmp_path, capsys, argv, run_id):
         store = tmp_path / "wh"
+        kind = argv[0]
         argv = ["obs", "runs", "record", *argv, "--store", str(store), "--json"]
         assert main(argv) == 0
         document = json.loads(capsys.readouterr().out)
         assert document["run_id"] == run_id
         assert _only_run_id(store) == run_id
+        _assert_record_pinned(store, run_id, f"obs_runs_record/{kind}")
 
     @pytest.mark.parametrize(
         "argv, run_id",
@@ -155,3 +173,33 @@ class TestRunIds:
         assert main(argv + ["--store", str(store)]) == 0
         assert _only_run_id(store) == run_id
         assert f"recorded {argv[0]} run {run_id} in {store}" in capsys.readouterr().err
+        _assert_record_pinned(store, run_id, f"store_flag/{argv[0]}")
+
+    @pytest.mark.parametrize(
+        "argv, outs",
+        [
+            (["build", "mvt"] + FAST, {"trace.json": "--trace-out"}),
+            (
+                ["dse", "mvt", "--repetitions", "1"],
+                {"trace.json": "--trace-out", "metrics.prom": "--metrics-out"},
+            ),
+        ],
+        ids=["build", "dse"],
+    )
+    def test_stored_blobs_are_the_out_files(self, tmp_path, argv, outs):
+        """A ``--store`` blob is byte for byte what the matching
+        ``--*-out`` flag writes for the same run (``build`` has no
+        ``--metrics-out``, so ``dse`` covers the Prometheus dump)."""
+        store = tmp_path / "wh"
+        argv = [*argv, "--store", str(store)]
+        for name, flag in outs.items():
+            argv += [flag, str(tmp_path / name)]
+        assert main(argv) == 0
+        warehouse = TelemetryStore(store)
+        record = warehouse.load_run(_only_run_id(store))
+        blobs = {
+            entry["name"]: warehouse.find_blob(entry["sha256"], entry["suffix"])
+            for entry in record["artifacts"]
+        }
+        for name in outs:
+            assert blobs[name].read_bytes() == (tmp_path / name).read_bytes(), name

@@ -31,6 +31,7 @@ from repro.bench.baseline import (
     StackBaseline,
     StageBaseline,
     baseline_filename,
+    baseline_text,
     load_baseline,
     save_baseline,
 )
@@ -80,6 +81,7 @@ __all__ = [
     "StageVerdict",
     "all_scenarios",
     "baseline_filename",
+    "baseline_text",
     "compare_result",
     "get_scenario",
     "load_baseline",

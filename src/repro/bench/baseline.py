@@ -213,12 +213,16 @@ class BenchBaseline:
         return record
 
 
+def baseline_text(baseline: BenchBaseline) -> str:
+    """The baseline as stable, human-diffable JSON."""
+    return json.dumps(baseline.as_dict(), indent=2, sort_keys=True) + "\n"
+
+
 def save_baseline(baseline: BenchBaseline, path: PathLike) -> Path:
-    """Write the baseline as stable, human-diffable JSON."""
+    """Write :func:`baseline_text` to ``path``."""
     target = Path(path)
     with open(target, "w") as handle:
-        json.dump(baseline.as_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(baseline_text(baseline))
     return target
 
 

@@ -332,23 +332,10 @@ def cmd_build(args: argparse.Namespace) -> int:
     if not json_mode:
         print(f"Building adaptive {app.name}...")
     if store_dir:
-        with obs.tracer.span(f"build:{app.name}") as build_span:
-            result = flow.build(app)
-        obs.absorb_engine(flow.engine)
-        _note_recorded(
-            "build",
-            store_dir,
-            _store_build_run(
-                _open_store(store_dir),
-                flow,
-                app,
-                result,
-                obs,
-                build_span.duration_s,
-                args.store_label,
-                {},
-            ),
+        result, recorded = _build_and_record(
+            flow, app, obs, _open_store(store_dir), args.store_label, {}
         )
+        _note_recorded("build", store_dir, recorded)
     else:
         result = flow.build(app)
     if not json_mode:
@@ -410,9 +397,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
     from repro.core.scenario import Phase, Scenario
     from repro.core.trace import summarize_phases, trace_to_csv
     from repro.margot.config import apply_configuration, load_config
+    from repro.obs.store import content_hash
 
     config = load_config(args.config)
     store_dir = getattr(args, "store", None)
@@ -438,36 +428,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print(f"Running {args.duration:.0f}s over states: {', '.join(names)}")
         records = scenario.run(app)
 
-    def record_trace_run() -> None:
-        import hashlib
-
-        identity = flow.run_identity()
-        machine = str(identity.pop("machine"))
-        seed = int(identity.pop("seed"))
-        with open(args.config, "rb") as handle:
-            config_sha = hashlib.sha256(handle.read()).hexdigest()
-        blobs, derivations = _warehouse_artifacts(obs)
-        recorded = _open_store(store_dir).record(
-            "trace",
-            app=config.kernel,
-            machine=machine,
-            seed=seed,
-            label=args.store_label,
-            source=app_def.source_fingerprint(),
-            knobs={
-                **identity,
-                "config_sha256": config_sha,
-                "duration": args.duration,
-                "slowdowns": [],
-            },
-            metrics={
-                "wall_s": trace_span.duration_s,
-                "invocations": len(records),
-            },
-            artifacts=blobs,
-            derivations=derivations,
-        )
-        _note_recorded("trace", store_dir, recorded)
     for summary in summarize_phases(records, scenario):
         print(
             f"  [{summary.start_s:6.1f}-{summary.end_s:6.1f}s] {summary.state:14s} "
@@ -485,7 +445,27 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if store_dir:
         # record only after the engine counters and monitor statistics
         # were absorbed, so the stored metrics.prom carries them
-        record_trace_run()
+        recorded = _record_run(
+            _open_store(store_dir),
+            "trace",
+            obs.tracer.spans,
+            obs.metrics,
+            obs.audit,
+            app=config.kernel,
+            label=args.store_label,
+            source=app_def.source_fingerprint(),
+            metrics={
+                "wall_s": trace_span.duration_s,
+                "invocations": len(records),
+            },
+            **_flow_identity(
+                flow,
+                config_sha256=content_hash(Path(args.config).read_bytes()),
+                duration=args.duration,
+                slowdowns=[],
+            ),
+        )
+        _note_recorded("trace", store_dir, recorded)
     return 0
 
 
@@ -1186,9 +1166,10 @@ def cmd_obs_incidents_list(args: argparse.Namespace) -> int:
     if not paths:
         print(f"{args.dir}: no incident bundles")
         return 0
+    # load every bundle first: a malformed one exits 2 before any row
+    documents = [load_incident(path) for path in paths]
     print(f"{'incident id':18s} {'t':>8s} {'kernel':8s} alert")
-    for path in paths:
-        document = load_incident(path)
+    for document in documents:
         alert = document["alert"]
         print(
             f"{document['incident_id']:18s} {document['t']:8.3f} "
@@ -1347,71 +1328,80 @@ def _slowdown_knob(slowdowns) -> List[str]:
     return [f"{name}:{factor}" for name, factor in sorted((slowdowns or {}).items())]
 
 
-def _warehouse_artifacts(obs):
-    """(ArtifactBlob list, derivation edges) for one recorded run.
-
-    Only formats `obs validate` can sniff become blobs: the Chrome
-    trace, the Prometheus dump, the audit JSONL (when non-empty — the
-    events validator rejects empty streams) and the folded stacks the
-    trend gate's stack attribution reads back.
-    """
-    import tempfile
-    from pathlib import Path
-
-    from repro.obs import FlameProfile
-    from repro.obs.export import (
-        write_audit_jsonl,
-        write_chrome_trace,
-        write_prometheus,
-    )
-    from repro.obs.store import ArtifactBlob
-
-    blobs = []
-    derivations = []
-    with tempfile.TemporaryDirectory() as tmp:
-        staging = Path(tmp)
-        write_chrome_trace(obs.tracer.spans, staging / "trace.json")
-        blobs.append(ArtifactBlob("trace.json", (staging / "trace.json").read_bytes()))
-        write_prometheus(obs.metrics, staging / "metrics.prom")
-        blobs.append(
-            ArtifactBlob("metrics.prom", (staging / "metrics.prom").read_bytes())
-        )
-        if obs.audit is not None:
-            write_audit_jsonl(obs.audit, staging / "audit.jsonl")
-            data = (staging / "audit.jsonl").read_bytes()
-            if data.strip():
-                blobs.append(ArtifactBlob("audit.jsonl", data))
-    folded = FlameProfile.from_spans(obs.tracer.spans).as_folded()
-    if folded.strip():
-        blobs.append(ArtifactBlob("profile.folded", folded.encode()))
-        derivations.append(("trace.json", "profile.folded", "collapsed"))
-    return blobs, derivations
-
-
-def _store_build_run(store, flow, app, result, obs, wall_s, label, slowdowns):
+def _flow_identity(flow, **knobs) -> dict:
+    """The ``machine``, ``seed`` and ``knobs`` record fields of a
+    toolflow run: :meth:`SocratesToolflow.run_identity` split, with
+    ``knobs`` added to its knob part."""
     identity = flow.run_identity()
     machine = str(identity.pop("machine"))
     seed = int(identity.pop("seed"))
-    knobs = {**identity, "slowdowns": _slowdown_knob(slowdowns)}
-    metrics = {
-        "wall_s": wall_s,
-        "knowledge_points": len(result.exploration.knowledge),
-        "coverage": result.exploration.coverage,
-        "points_evaluated": flow.engine.counters.points_evaluated,
-    }
-    blobs, derivations = _warehouse_artifacts(obs)
+    return {"machine": machine, "seed": seed, "knobs": {**identity, **knobs}}
+
+
+def _record_run(
+    store, kind, spans, registry=None, audit=None, *, bench=None, energy=None, **fields
+):
+    """Record one run in ``store``; returns ``(run_id, created)``.
+
+    The one path from in-memory artifacts to
+    :meth:`TelemetryStore.record`.  Every blob is the text the matching
+    file flag writes (``bench run``'s baseline, ``--trace-out``,
+    ``--metrics-out``, ``--audit-out``, ``--ledger-out``), stored in
+    this order: ``bench.json``, ``trace.json``, ``metrics.prom``,
+    ``audit.jsonl`` and ``profile.folded`` when non-empty (the events
+    validator rejects empty streams), ``energy.json``.  ``fields`` are
+    the identity fields and ``metrics``.
+    """
+    from repro.obs import FlameProfile
+    from repro.obs.export import audit_jsonl_text, chrome_trace_text, prometheus_text
+    from repro.obs.store import ArtifactBlob
+
+    texts = [("bench.json", bench), ("trace.json", chrome_trace_text(spans))]
+    if registry is not None:
+        texts.append(("metrics.prom", prometheus_text(registry)))
+    optional = [
+        ("audit.jsonl", audit_jsonl_text(audit) if audit is not None else ""),
+        ("profile.folded", FlameProfile.from_spans(spans).as_folded()),
+    ]
+    texts += [(name, text) for name, text in optional if text.strip()]
+    texts.append(("energy.json", energy))
     return store.record(
+        kind,
+        artifacts=[
+            ArtifactBlob(name, text.encode()) for name, text in texts if text is not None
+        ],
+        derivations=[
+            ("trace.json", "profile.folded", "collapsed"),
+            ("trace.json", "energy.json", "derived"),
+        ],
+        **fields,
+    )
+
+
+def _build_and_record(flow, app, obs, store, label, slowdowns):
+    """Build ``app`` under a ``build:<app>`` root span and record it as
+    a ``build`` run; returns ``(result, (run_id, created))``."""
+    with obs.tracer.span(f"build:{app.name}") as root:
+        result = flow.build(app)
+    obs.absorb_engine(flow.engine)
+    recorded = _record_run(
+        store,
         "build",
+        obs.tracer.spans,
+        obs.metrics,
+        obs.audit,
         app=app.name,
-        machine=machine,
-        seed=seed,
         label=label,
         source=app.source_fingerprint(),
-        knobs=knobs,
-        metrics=metrics,
-        artifacts=blobs,
-        derivations=derivations,
+        metrics={
+            "wall_s": root.duration_s,
+            "knowledge_points": len(result.exploration.knowledge),
+            "coverage": result.exploration.coverage,
+            "points_evaluated": flow.engine.counters.points_evaluated,
+        },
+        **_flow_identity(flow, slowdowns=_slowdown_knob(slowdowns)),
     )
+    return result, recorded
 
 
 def _record_build_run(args, store, slowdowns, label):
@@ -1419,22 +1409,19 @@ def _record_build_run(args, store, slowdowns, label):
 
     obs = recording_observability(slowdowns or None)
     flow = _toolflow(args, obs=obs)
-    app = _load_app(args.app)
-    with obs.tracer.span(f"build:{app.name}") as root:
-        result = flow.build(app)
-    obs.absorb_engine(flow.engine)
-    return _store_build_run(
-        store, flow, app, result, obs, root.duration_s, label, slowdowns
-    )
+    return _build_and_record(flow, _load_app(args.app), obs, store, label, slowdowns)[1]
 
 
 def _store_dse_run(store, app, seed, label, knobs, obs, engine, result, front):
     """Record one exploration as a ``dse`` run; its wall time is the
     summed duration of the trace's root spans."""
-    blobs, derivations = _warehouse_artifacts(obs)
     roots = [span for span in obs.tracer.spans if span.parent_id is None]
-    return store.record(
+    return _record_run(
+        store,
         "dse",
+        obs.tracer.spans,
+        obs.metrics,
+        obs.audit,
         app=app.name,
         machine=engine.machine.name,
         seed=seed,
@@ -1447,8 +1434,6 @@ def _store_dse_run(store, app, seed, label, knobs, obs, engine, result, front):
             "front_size": len(front),
             "space_size": result.space_size,
         },
-        artifacts=blobs,
-        derivations=derivations,
     )
 
 
@@ -1469,11 +1454,8 @@ def _record_dse_run(args, store, slowdowns, label):
 
 def _record_trace_run(args, store, slowdowns, label):
     """Record the fig5-style adaptive scenario plus its energy ledger."""
-    import tempfile
-    from pathlib import Path
-
     from repro.obs.energy import EnergyLedger, build_timeline
-    from repro.obs.store import ArtifactBlob, recording_observability
+    from repro.obs.store import recording_observability
 
     obs = recording_observability(slowdowns or None)
     result, app, records, flow = _fig5_scenario(args, obs)
@@ -1484,35 +1466,24 @@ def _record_trace_run(args, store, slowdowns, label):
         stage_events=result.stage_events,
         idle_power_w=app.executor.idle_breakdown().totals(),
     )
-    blobs, derivations = _warehouse_artifacts(obs)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = ledger.write(Path(tmp) / "energy.json")
-        blobs.append(ArtifactBlob("energy.json", path.read_bytes()))
-    derivations.append(("trace.json", "energy.json", "derived"))
-    identity = flow.run_identity()
-    machine = str(identity.pop("machine"))
-    seed = int(identity.pop("seed"))
-    knobs = {
-        **identity,
-        "duration": args.duration,
-        "slowdowns": _slowdown_knob(slowdowns),
-    }
-    metrics = {
-        "wall_s": timeline.duration_s,
-        "invocations": len(records),
-        "package_j": ledger.totals_j().get("package", 0.0),
-    }
-    return store.record(
+    return _record_run(
+        store,
         "trace",
+        obs.tracer.spans,
+        obs.metrics,
+        obs.audit,
+        energy=ledger.as_text(),
         app=args.app,
-        machine=machine,
-        seed=seed,
         label=label,
         source=_load_app(args.app).source_fingerprint(),
-        knobs=knobs,
-        metrics=metrics,
-        artifacts=blobs,
-        derivations=derivations,
+        metrics={
+            "wall_s": timeline.duration_s,
+            "invocations": len(records),
+            "package_j": ledger.totals_j().get("package", 0.0),
+        },
+        **_flow_identity(
+            flow, duration=args.duration, slowdowns=_slowdown_knob(slowdowns)
+        ),
     )
 
 
@@ -1524,44 +1495,26 @@ def _store_bench_result(store, result, label, slowdowns, machine=""):
     produces byte-identical blobs.
     """
     import dataclasses
-    import tempfile
-    from pathlib import Path
 
-    from repro.bench import BenchBaseline, median, save_baseline
-    from repro.obs import FlameProfile
-    from repro.obs.export import write_chrome_trace
-    from repro.obs.store import ArtifactBlob
+    from repro.bench import BenchBaseline, baseline_text, median
 
     baseline = dataclasses.replace(
         BenchBaseline.from_result(result), peak_rss_kb=0, ratios={}
     )
-    with tempfile.TemporaryDirectory() as tmp:
-        staging = Path(tmp)
-        save_baseline(baseline, staging / "bench.json")
-        bench_bytes = (staging / "bench.json").read_bytes()
-        write_chrome_trace(result.spans, staging / "trace.json")
-        trace_bytes = (staging / "trace.json").read_bytes()
-    folded = FlameProfile.from_spans(result.spans).as_folded()
-    blobs = [
-        ArtifactBlob("bench.json", bench_bytes),
-        ArtifactBlob("trace.json", trace_bytes),
-        ArtifactBlob("profile.folded", folded.encode()),
-    ]
-    derivations = [("trace.json", "profile.folded", "collapsed")]
     metrics = {"wall_s": median(result.wall_s)}
     for key, value in sorted(result.fingerprint.items()):
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             metrics[key] = value
-    knobs = {"repeats": result.repeats, "slowdowns": _slowdown_knob(slowdowns)}
-    return store.record(
+    return _record_run(
+        store,
         "bench",
+        result.spans,
+        bench=baseline_text(baseline),
         machine=machine,
         scenario=result.scenario,
         label=label,
-        knobs=knobs,
+        knobs={"repeats": result.repeats, "slowdowns": _slowdown_knob(slowdowns)},
         metrics=metrics,
-        artifacts=blobs,
-        derivations=derivations,
     )
 
 

@@ -565,12 +565,15 @@ class EnergyLedger:
             "stage_totals_j": self.stage_totals_j(),
         }
 
+    def as_text(self) -> str:
+        """The ledger document as the JSON file ``obs validate`` reads."""
+        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+
     def write(self, path: PathLike) -> Path:
-        """Write the ledger document (validated by ``obs validate``)."""
+        """Write :meth:`as_text` to ``path``."""
         target = Path(path)
         with open(target, "w") as handle:
-            json.dump(self.as_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            handle.write(self.as_text())
         return target
 
 

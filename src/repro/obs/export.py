@@ -12,6 +12,12 @@ Three formats, three audiences:
   text exposition format (``# HELP`` / ``# TYPE`` / sample lines,
   histograms with cumulative ``_bucket{le=...}`` series).
 
+Each file format has one text function (:func:`chrome_trace_text`,
+:func:`audit_jsonl_text`, :func:`prometheus_text`); the ``write_*``
+functions only write that text, and the telemetry warehouse stores the
+same text, so a stored blob is byte for byte the file the matching
+``--*-out`` flag writes.
+
 All exports are re-based so the earliest span starts at t=0: the
 monotonic clock's epoch is arbitrary, and a zero-based trace makes two
 seeded runs diff cleanly apart from durations.
@@ -39,7 +45,9 @@ from repro.obs.metrics import (
 from repro.obs.tracing import MAIN_TRACK, Span
 
 __all__ = [
+    "audit_jsonl_text",
     "chrome_trace",
+    "chrome_trace_text",
     "escape_label_value",
     "events_jsonl",
     "parse_prometheus_text",
@@ -124,6 +132,16 @@ def chrome_trace(
     }
 
 
+def chrome_trace_text(
+    spans: Sequence[Span],
+    process_name: str = "socrates",
+    counters: Sequence[Dict[str, object]] = (),
+) -> str:
+    """The Chrome trace file: :func:`chrome_trace` as indented JSON."""
+    document = chrome_trace(spans, process_name=process_name, counters=counters)
+    return json.dumps(document, indent=2) + "\n"
+
+
 def write_chrome_trace(
     spans: Sequence[Span],
     path: PathLike,
@@ -131,10 +149,9 @@ def write_chrome_trace(
     counters: Sequence[Dict[str, object]] = (),
 ) -> int:
     """Write the Chrome trace; returns the number of span events."""
-    document = chrome_trace(spans, process_name=process_name, counters=counters)
+    text = chrome_trace_text(spans, process_name=process_name, counters=counters)
     with open(path, "w") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
+        handle.write(text)
     return len(spans)
 
 
@@ -178,28 +195,25 @@ def write_jsonl(
     return count
 
 
-def write_audit_jsonl(audit: AdaptationAuditLog, path: PathLike) -> int:
-    """Write the audit log as JSONL; returns the number of lines.
+def audit_jsonl_text(audit: AdaptationAuditLog) -> str:
+    """The audit log as JSONL, one record per line.
 
     Each line carries a ``type`` discriminator: ``adaptation`` for the
     MAPE-K decisions, ``check`` for static-analysis diagnostics, and
     ``prune`` for lattice points a :class:`PrunePlan` masked.
     """
-    count = 0
+    records = [{"type": "adaptation", **entry.as_dict()} for entry in audit.entries]
+    records += [{"type": "check", **record} for record in audit.checks_as_dicts()]
+    records += [{"type": "prune", **record} for record in audit.prunes_as_dicts()]
+    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+
+
+def write_audit_jsonl(audit: AdaptationAuditLog, path: PathLike) -> int:
+    """Write the audit log as JSONL; returns the number of lines."""
+    text = audit_jsonl_text(audit)
     with open(path, "w") as handle:
-        for entry in audit.entries:
-            handle.write(
-                json.dumps({"type": "adaptation", **entry.as_dict()}, sort_keys=True)
-                + "\n"
-            )
-            count += 1
-        for record in audit.checks_as_dicts():
-            handle.write(json.dumps({"type": "check", **record}, sort_keys=True) + "\n")
-            count += 1
-        for record in audit.prunes_as_dicts():
-            handle.write(json.dumps({"type": "prune", **record}, sort_keys=True) + "\n")
-            count += 1
-    return count
+        handle.write(text)
+    return text.count("\n")
 
 
 # -- Prometheus text exposition ----------------------------------------------

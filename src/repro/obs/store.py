@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
@@ -405,13 +406,29 @@ class TelemetryStore:
     # blobs
 
     def put_blob(self, data: bytes, suffix: str) -> Tuple[str, bool]:
-        """Store ``data``; returns (sha256, created).  Dedup by content."""
+        """Store ``data``; returns (sha256, created).  Dedup by content.
+
+        Crash-safe: the bytes go to a temp file in the blob's bucket
+        that is then renamed over the final path, so a blob path only
+        ever holds a complete blob (a temp file a crash leaves behind
+        is an orphan :meth:`gc` sweeps).  A file already there counts
+        as a dedup hit only if it hashes back to ``sha256``; one left
+        truncated by an older writer is rewritten.
+        """
         sha = content_hash(data)
         target = self.blob_path(sha, suffix)
-        if target.exists():
+        if target.exists() and content_hash(target.read_bytes()) == sha:
             return sha, False
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(data)
+        # a per-process name, and its ".tmp-" prefix never matches a
+        # sha256 in find_blob
+        temp = target.with_name(f".tmp-{os.getpid()}-{target.name}")
+        try:
+            temp.write_bytes(data)
+            os.replace(temp, target)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
         return sha, True
 
     def find_blob(self, sha256: str, suffix: str = "") -> Optional[Path]:

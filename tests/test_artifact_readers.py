@@ -365,6 +365,15 @@ class TestReaderAgreement:
             assert err.startswith(f"error: {path}: "), (argv, err)
             assert reason in err, (argv, err)
 
+    def test_incidents_list_prints_no_rows_before_a_bad_bundle(self, tmp_path, capsys):
+        incident_bundle().write(tmp_path)
+        bad = tmp_path / "INC_inc-3.json"
+        bad.write_text("")
+        assert main(["obs", "incidents", "list", "--dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(bad) in captured.err
+
     @pytest.mark.parametrize(
         "kind, consumer",
         [

@@ -166,6 +166,28 @@ class TestTelemetryStore:
         with pytest.raises(ValueError, match="missing"):
             store.verify()
 
+    def test_truncated_blob_is_rewritten_not_reused(self, tmp_path):
+        # what a crash mid-write leaves at a blob's final path: a
+        # later record producing that blob must not take it for a hit
+        store = TelemetryStore(tmp_path / "wh")
+        blob = ArtifactBlob("trace.json", b'{"traceEvents": []}\n')
+        target = store.blob_path(hashlib.sha256(blob.data).hexdigest(), ".json")
+        target.parent.mkdir(parents=True)
+        target.write_bytes(blob.data[:7])
+        store.record("bench", scenario="s", artifacts=[blob])
+        assert store.verify()["artifacts"] == 1
+        assert store.blobs() == [target]  # no temp file beside it
+
+    def test_failed_blob_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def crash(src, dst):
+            raise OSError("rename failed")
+
+        store = TelemetryStore(tmp_path / "wh")
+        monkeypatch.setattr("repro.obs.store.os.replace", crash)
+        with pytest.raises(OSError, match="rename failed"):
+            store.put_blob(b"payload", ".json")
+        assert store.blobs() == []
+
     def test_gc_never_deletes_pinned_reachable(self, tmp_path):
         store = TelemetryStore(tmp_path / "wh")
         keep_blob = ArtifactBlob("keep.json", b'{"keep": 1}')

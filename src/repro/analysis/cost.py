@@ -2,11 +2,12 @@
 
 Three layers:
 
-* :func:`kernel_cost_report` — per-loop-nest work/footprint estimates
+* :func:`kernel_cost_report` — kernel work/footprint estimates
   derived *statically* from the interval + interprocedural analyses
   (:mod:`repro.analysis.intervals`, :mod:`repro.analysis.interproc`):
-  trip-weighted operation counts, per-array footprints, operational
-  intensity.
+  the kernel's trip-weighted operation counts (its function summary),
+  per-array footprints, operational intensity, and each top-level
+  loop nest's depth, iterations and footprint.
 * :func:`cross_validate` — relative errors of the oracle against the
   workload profiler and the Milepost feature vector.  Pruning only
   activates when the oracle demonstrably understands the kernel
@@ -38,11 +39,13 @@ from repro.analysis.flagsafety import (
     flag_safety_verdict,
     unsafe_config_labels,
 )
-from repro.analysis.interproc import _SummaryWalker, summarize_unit
-from repro.analysis.intervals import analyze_function, array_footprints
+from repro.analysis.interproc import summarize_unit
+from repro.analysis.intervals import array_footprints
 from repro.cir import ast
 from repro.cir.analysis import LoopInfo, collect_loops, eval_const
 from repro.polybench.workload import (
+    _FLOAT_BYTES,
+    _INT_BYTES,
     WorkloadProfile,
     _is_floating_type,
     bound_environment,
@@ -73,34 +76,16 @@ DEFAULT_PRUNE_MARGIN = 0.12
 #: a kernel to count as understood.
 ORACLE_TOLERANCE = 0.35
 
-_FLOAT_BYTES = 8.0
-_INT_BYTES = 4.0
-
 
 @dataclass(frozen=True)
 class LoopNestCost:
-    """Work and footprint estimate for one top-level loop nest."""
+    """Shape and footprint of one top-level loop nest."""
 
     function: str
     induction: Optional[str]
     depth: int
     iterations: float
-    flops: float
-    int_ops: float
-    loads: float
-    stores: float
     footprint_bytes: float
-
-    @property
-    def naive_bytes(self) -> float:
-        return (self.loads + self.stores) * _FLOAT_BYTES
-
-    @property
-    def operational_intensity(self) -> float:
-        """Flops per byte of naive traffic (roofline x-axis)."""
-        if self.naive_bytes == 0:
-            return 0.0
-        return self.flops / self.naive_bytes
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -108,12 +93,7 @@ class LoopNestCost:
             "induction": self.induction,
             "depth": self.depth,
             "iterations": self.iterations,
-            "flops": self.flops,
-            "int_ops": self.int_ops,
-            "loads": self.loads,
-            "stores": self.stores,
             "footprint_bytes": self.footprint_bytes,
-            "operational_intensity": self.operational_intensity,
         }
 
 
@@ -200,60 +180,45 @@ def kernel_cost_report(
         raise ValueError(
             f"no function {kernel!r} in unit {unit.name!r}"
         ) from None
-    summaries = summarize_unit(unit, env)
-    facts = analyze_function(func, env)
+    summary = summarize_unit(unit, env)[kernel]
+    facts = summary.facts
     declared = _declared_arrays(unit, env)
-    loop_infos = {id(info.node): info for info in collect_loops(func.body)}
+    declared_dims = {name: dims for name, (dims, _) in declared.items()}
     nests: List[LoopNestCost] = []
-    resolved = facts.resolved
     array_bytes: Dict[str, float] = {}
     for info in collect_loops(func.body):
         if info.parent is not None:
             continue
-        walker = _SummaryWalker(env, facts, loop_infos, summaries)
-        walker._visit(info.node, 1.0, dict(env))
-        totals = walker.totals
-        if not totals.resolved:
-            resolved = False
-        iterations = _nest_iterations(info, env, facts)
-        footprints = array_footprints(
-            info.node,
-            facts,
-            env,
-            {name: dims for name, (dims, _) in declared.items()},
-        )
         footprint = 0.0
-        for name, fp in footprints.items():
+        for name, fp in array_footprints(
+            info.node, facts, env, declared_dims
+        ).items():
             nest_bytes = fp.bytes(declared.get(name, ((), _FLOAT_BYTES))[1])
             footprint += nest_bytes
             # the kernel-level working set counts each array once, at
             # its widest extent over all nests
             array_bytes[name] = max(array_bytes.get(name, 0.0), nest_bytes)
-        depth = 1 + child_depth(info)
         nests.append(
             LoopNestCost(
                 function=func.name,
                 induction=info.induction_variable,
-                depth=depth,
-                iterations=iterations,
-                flops=max(0.0, totals.flops),
-                int_ops=max(0.0, totals.int_ops),
-                loads=max(0.0, totals.loads),
-                stores=max(0.0, totals.stores),
+                depth=1 + child_depth(info),
+                iterations=_nest_iterations(info, env, facts),
                 footprint_bytes=footprint,
             )
         )
-    summary = summaries.get(kernel)
+    # the summary's walk covers every nest, so its flag already says
+    # whether any nest (or the interval facts) failed to resolve
     return KernelCostReport(
         kernel=kernel,
         nests=tuple(nests),
-        flops=summary.flops if summary else 0.0,
-        int_ops=summary.int_ops if summary else 0.0,
-        loads=summary.loads if summary else 0.0,
-        stores=summary.stores if summary else 0.0,
+        flops=summary.flops,
+        int_ops=summary.int_ops,
+        loads=summary.loads,
+        stores=summary.stores,
         footprint_bytes=sum(array_bytes.values()),
-        max_depth=summary.max_depth if summary else 0,
-        resolved=resolved and (summary.resolved if summary else False),
+        max_depth=summary.max_depth,
+        resolved=summary.resolved,
     )
 
 

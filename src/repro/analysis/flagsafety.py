@@ -29,10 +29,11 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.interproc import build_call_graph
-from repro.analysis.rules import RULES
+from repro.analysis.rules import diagnose
 from repro.cir import ast
 from repro.cir.analysis import LoopInfo, census, collect_loops
 from repro.cir.printer import SourceMap
+from repro.cir.visitor import walk
 from repro.polybench.workload import (
     _has_loop_carried_dependence,
     _is_reduction_loop,
@@ -49,99 +50,94 @@ __all__ = [
 CALL_DENSE_THRESHOLD = 0.02
 
 
-def _line(lines: Optional[SourceMap], node: ast.Node) -> Optional[int]:
-    return lines.line_of(node) if lines is not None else None
+@dataclass(frozen=True)
+class _Findings:
+    """What the flag-safety rules see in one function, derived once."""
+
+    loops: List[LoopInfo]
+    #: innermost loops that accumulate into an iv-invariant location
+    reductions: List[LoopInfo]
+    #: outermost loops whose body carries a shifted-subscript dependence
+    dependent: List[LoopInfo]
+    #: innermost loops whose call density crosses the threshold
+    call_dense: List[Tuple[LoopInfo, float]]
+    #: contains, or transitively calls into, an FP reduction
+    carrier: bool
 
 
-def _diagnose(
-    rule: str,
-    message: str,
-    *,
-    filename: str,
-    function: Optional[str],
-    node: ast.Node,
-    lines: Optional[SourceMap],
-    phase: str,
-    hint: Optional[str] = None,
-) -> Diagnostic:
-    return Diagnostic(
-        rule=rule,
-        severity=RULES[rule].severity,
-        message=message,
-        file=filename,
-        function=function,
-        line=_line(lines, node),
-        hint=hint,
-        phase=phase,
-        anchor_id=id(node),
-    )
+def _reduction_loops(loops: List[LoopInfo]) -> List[LoopInfo]:
+    return [
+        info
+        for info in loops
+        if not info.children
+        and info.induction_variable is not None
+        and _is_reduction_loop(info.node, info.induction_variable)
+    ]
 
 
-def _fp_reduction_loops(func: ast.FunctionDef) -> List[LoopInfo]:
-    """Innermost loops that accumulate into an iv-invariant location."""
-    found = []
-    for info in collect_loops(func.body):
-        if info.children:
-            continue
-        iv = info.induction_variable
-        if iv is not None and _is_reduction_loop(info.node, iv):
-            found.append(info)
-    return found
-
-
-def _dependent_loops(func: ast.FunctionDef) -> List[LoopInfo]:
-    """Outermost loops whose body carries a shifted-subscript dependence."""
-    found = []
-    for info in collect_loops(func.body):
-        if info.parent is not None:
-            continue
-        iv = info.induction_variable
-        if iv is not None and _has_loop_carried_dependence(info.node, iv):
-            found.append(info)
-    return found
+def _dependent_loops(loops: List[LoopInfo]) -> List[LoopInfo]:
+    return [
+        info
+        for info in loops
+        if info.parent is None
+        and info.induction_variable is not None
+        and _has_loop_carried_dependence(info.node, info.induction_variable)
+    ]
 
 
 def _call_dense_loops(
-    func: ast.FunctionDef, defined: Set[str]
+    loops: List[LoopInfo], defined: Set[str]
 ) -> List[Tuple[LoopInfo, float]]:
-    """Innermost loops whose call density crosses the threshold.
-
-    Only calls to functions *defined in the unit* count: those are the
-    ones the inliner could have absorbed, so only they make
-    ``-fno-inline`` versions pessimizing.
-    """
-    from repro.cir.visitor import walk
-
+    """Only calls to functions *defined in the unit* count: those are
+    the ones the inliner could have absorbed, so only they make
+    ``-fno-inline`` versions pessimizing."""
     found = []
-    for info in collect_loops(func.body):
+    for info in loops:
         if info.children:
             continue
-        body_census = census(info.node.body)
         calls = sum(
             1
             for node in walk(info.node.body)
             if isinstance(node, ast.Call) and node.name in defined
         )
-        total = max(1, body_census.total_ops)
-        density = calls / total
+        density = calls / max(1, census(info.node.body).total_ops)
         if calls and density >= CALL_DENSE_THRESHOLD:
             found.append((info, density))
     return found
 
 
-def _reduction_carriers(unit: ast.TranslationUnit) -> Set[str]:
-    """Functions containing (or transitively calling into) an FP
-    reduction, propagated bottom-up over the call graph."""
+def _findings(
+    unit: ast.TranslationUnit, only: Optional[str] = None
+) -> Dict[str, _Findings]:
+    """Findings of every function defined in ``unit``, or of ``only``.
+
+    Reduction loops are scanned in every function either way: carriers
+    propagate bottom-up over the call graph, so whether ``only``
+    carries a reduction depends on its callees.
+    """
     graph = build_call_graph(unit)
     functions = {func.name: func for func in unit.functions()}
+    loops = {name: collect_loops(func.body) for name, func in functions.items()}
+    reductions: Dict[str, List[LoopInfo]] = {}
     carriers: Set[str] = set()
     for name in graph.bottom_up():
-        func = functions[name]
-        if _fp_reduction_loops(func):
+        reductions[name] = _reduction_loops(loops[name])
+        if reductions[name] or any(
+            callee in carriers for callee in graph.callees(name)
+        ):
             carriers.add(name)
-        elif any(callee in carriers for callee in graph.callees(name)):
-            carriers.add(name)
-    return carriers
+    defined = set(functions)
+    return {
+        name: _Findings(
+            loops=loops[name],
+            reductions=reductions[name],
+            dependent=_dependent_loops(loops[name]),
+            call_dense=_call_dense_loops(loops[name], defined),
+            carrier=name in carriers,
+        )
+        for name in functions
+        if only is None or name == only
+    }
 
 
 def check_unit_flag_safety(
@@ -152,17 +148,14 @@ def check_unit_flag_safety(
 ) -> List[Diagnostic]:
     """All FPS2xx diagnostics of one translation unit."""
     diagnostics: List[Diagnostic] = []
-    defined = {func.name for func in unit.functions()}
-    carriers = _reduction_carriers(unit)
-    graph = build_call_graph(unit)
-    from repro.cir.visitor import walk
-
+    findings = _findings(unit)
+    carriers = {name for name, found in findings.items() if found.carrier}
     for func in unit.functions():
-        own_reductions = _fp_reduction_loops(func)
-        for info in own_reductions:
+        found = findings[func.name]
+        for info in found.reductions:
             iv = info.induction_variable
             diagnostics.append(
-                _diagnose(
+                diagnose(
                     "FPS201",
                     f"innermost loop over {iv!r} accumulates a floating-point "
                     f"reduction; fast-math versions reassociate it",
@@ -179,10 +172,10 @@ def check_unit_flag_safety(
                     ),
                 )
             )
-        for info in _dependent_loops(func):
+        for info in found.dependent:
             iv = info.induction_variable
             diagnostics.append(
-                _diagnose(
+                diagnose(
                     "FPS202",
                     f"loop over {iv!r} reads elements written by other "
                     f"iterations (shifted subscript): reordering flag "
@@ -199,9 +192,9 @@ def check_unit_flag_safety(
                     ),
                 )
             )
-        for info, density in _call_dense_loops(func, defined):
+        for info, density in found.call_dense:
             diagnostics.append(
-                _diagnose(
+                diagnose(
                     "FPS203",
                     f"loop body is call-dense ({density:.0%} of operations "
                     f"are calls): -fno-inline versions pessimize it",
@@ -216,37 +209,38 @@ def check_unit_flag_safety(
                     ),
                 )
             )
-        # interprocedural: a loop calling into a reduction carrier
-        if func.name in carriers and not own_reductions:
-            flagged: Set[int] = set()
-            for info in collect_loops(func.body):
-                for node in walk(info.node.body):
-                    if (
-                        isinstance(node, ast.Call)
-                        and node.name in carriers
-                        and node.name in graph.callees(func.name)
-                        and id(info.node) not in flagged
-                    ):
-                        flagged.add(id(info.node))
-                        diagnostics.append(
-                            _diagnose(
-                                "FPS204",
-                                f"call to {node.name!r} reaches a floating-"
-                                f"point reduction: fast-math versions of "
-                                f"this loop inherit the hazard",
-                                filename=filename,
-                                function=func.name,
-                                node=info.node,
-                                lines=lines,
-                                phase=phase,
-                                hint=(
-                                    "the callee's reduction makes "
-                                    "reassociating flags unsafe here too; "
-                                    "treat this nest like FPS201"
-                                ),
-                            )
-                        )
-                        break
+        if not found.carrier or found.reductions:
+            continue
+        # interprocedural: each loop that calls a carrier, once.  A call
+        # in this function's body to a defined function is a direct
+        # callee by construction of the call graph.
+        for info in found.loops:
+            callee = next(
+                (
+                    node.name
+                    for node in walk(info.node.body)
+                    if isinstance(node, ast.Call) and node.name in carriers
+                ),
+                None,
+            )
+            if callee is None:
+                continue
+            diagnostics.append(
+                diagnose(
+                    "FPS204",
+                    f"call to {callee!r} reaches a floating-point reduction: "
+                    f"fast-math versions of this loop inherit the hazard",
+                    filename=filename,
+                    function=func.name,
+                    node=info.node,
+                    lines=lines,
+                    phase=phase,
+                    hint=(
+                        "the callee's reduction makes reassociating flags "
+                        "unsafe here too; treat this nest like FPS201"
+                    ),
+                )
+            )
     return diagnostics
 
 
@@ -285,33 +279,25 @@ def flag_safety_verdict(
     unit: ast.TranslationUnit, kernel: Optional[str] = None
 ) -> FlagSafetyVerdict:
     """Summarize FPS verdicts for ``kernel`` (or the whole unit)."""
-    functions = (
-        [unit.function(kernel)] if kernel is not None else list(unit.functions())
-    )
-    carriers = _reduction_carriers(unit)
-    defined = {func.name for func in unit.functions()}
+    if kernel is not None:
+        unit.function(kernel)  # KeyError for an unknown kernel
     unsafe: List[str] = []
     pointless: List[str] = []
     rules: List[str] = []
-    for func in functions:
-        if func is None:
-            continue
-        if _fp_reduction_loops(func) or func.name in carriers:
-            if "UNSAFE_MATH" not in unsafe:
-                unsafe.append("UNSAFE_MATH")
-            rule = "FPS201" if _fp_reduction_loops(func) else "FPS204"
-            if rule not in rules:
-                rules.append(rule)
-        if _dependent_loops(func):
-            if "UNSAFE_MATH" not in unsafe:
-                unsafe.append("UNSAFE_MATH")
-            if "FPS202" not in rules:
-                rules.append("FPS202")
-        if _call_dense_loops(func, defined):
-            if "NO_INLINE_FUNCTIONS" not in pointless:
-                pointless.append("NO_INLINE_FUNCTIONS")
-            if "FPS203" not in rules:
-                rules.append("FPS203")
+
+    def note(flags: List[str], flag: str, rule: str) -> None:
+        if flag not in flags:
+            flags.append(flag)
+        if rule not in rules:
+            rules.append(rule)
+
+    for found in _findings(unit, kernel).values():
+        if found.carrier:
+            note(unsafe, "UNSAFE_MATH", "FPS201" if found.reductions else "FPS204")
+        if found.dependent:
+            note(unsafe, "UNSAFE_MATH", "FPS202")
+        if found.call_dense:
+            note(pointless, "NO_INLINE_FUNCTIONS", "FPS203")
     return FlagSafetyVerdict(
         unsafe_flags=tuple(unsafe),
         pointless_flags=tuple(pointless),

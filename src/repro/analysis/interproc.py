@@ -17,17 +17,19 @@ are marked unresolved so downstream consumers stay conservative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.analysis.intervals import FunctionFacts, analyze_function
 from repro.cir import ast
 from repro.cir.analysis import (
+    _MATH_FUNCTIONS,
     LoopInfo,
+    _touches_array,
     collect_loops,
     max_loop_depth,
 )
-from repro.cir.visitor import iter_child_nodes
+from repro.cir.visitor import iter_child_nodes, walk
 
 __all__ = [
     "CallGraph",
@@ -109,8 +111,6 @@ def build_call_graph(unit: ast.TranslationUnit) -> CallGraph:
         outside: List[str] = []
         seen_internal: set = set()
         seen_external: set = set()
-        from repro.cir.visitor import walk
-
         for node in walk(func.body):
             if not (isinstance(node, ast.Call) and node.name):
                 continue
@@ -134,7 +134,9 @@ class FunctionSummary:
     call sites to defined functions add the callee's summary times the
     enclosing trip product.  ``resolved`` is False when any loop trip
     or callee was not statically analyzable — consumers must then
-    treat the numbers as lower bounds.
+    treat the numbers as lower bounds.  ``facts`` are the interval
+    facts the summary was computed from, so consumers need not analyze
+    the function again.
     """
 
     name: str
@@ -149,6 +151,7 @@ class FunctionSummary:
     max_depth: int
     recursive: bool
     resolved: bool
+    facts: FunctionFacts = field(compare=False, repr=False)
 
     @property
     def total_ops(self) -> float:
@@ -296,18 +299,6 @@ class _SummaryWalker:
             totals.flops += weight * 10.0  # a libm call is ~10 flops
 
 
-_MATH_FUNCTIONS = frozenset(
-    {"sqrt", "sqrtf", "pow", "powf", "exp", "expf", "log", "logf", "fabs",
-     "fabsf", "sin", "cos", "tan", "fmax", "fmin", "ceil", "floor"}
-)
-
-
-def _touches_array(expr: ast.Expr) -> bool:
-    from repro.cir.visitor import walk
-
-    return any(isinstance(node, ast.ArrayRef) for node in walk(expr))
-
-
 def summarize_unit(
     unit: ast.TranslationUnit,
     env: Optional[Mapping[str, int]] = None,
@@ -340,5 +331,6 @@ def summarize_unit(
             max_depth=max_loop_depth(func),
             recursive=is_recursive,
             resolved=totals.resolved and facts.resolved and not is_recursive,
+            facts=facts,
         )
     return summaries

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.rules import RULES
+from repro.analysis.rules import diagnose
 from repro.cir import ast
 from repro.cir.dataflow import (
     Access,
@@ -25,34 +25,6 @@ from repro.cir.dataflow import (
 from repro.cir.printer import SourceMap
 
 _REDUCTION_OPS = {"+=": "+", "-=": "-", "*=": "*", "++": "+", "--": "-"}
-
-
-def _line(lines: Optional[SourceMap], node: ast.Node) -> Optional[int]:
-    return lines.line_of(node) if lines is not None else None
-
-
-def _diagnose(
-    rule: str,
-    message: str,
-    *,
-    filename: str,
-    function: Optional[str],
-    node: ast.Node,
-    lines: Optional[SourceMap],
-    phase: str,
-    hint: Optional[str] = None,
-) -> Diagnostic:
-    return Diagnostic(
-        rule=rule,
-        severity=RULES[rule].severity,
-        message=message,
-        file=filename,
-        function=function,
-        line=_line(lines, node),
-        hint=hint,
-        phase=phase,
-        anchor_id=id(node),
-    )
 
 
 def _scalar_hint(access: Access) -> str:
@@ -90,7 +62,7 @@ def check_region_races(
                 continue
             seen_scalars.add(access.name)
             diagnostics.append(
-                _diagnose(
+                diagnose(
                     "OMP001",
                     f"shared scalar {access.name!r} is written inside the "
                     f"parallel loop without a private/reduction clause",
@@ -111,7 +83,7 @@ def check_region_races(
             continue
         seen_arrays.add(access.name)
         diagnostics.append(
-            _diagnose(
+            diagnose(
                 "OMP002",
                 f"shared array {access.name!r} is written through subscripts "
                 f"that never use the parallel induction variable"
@@ -141,7 +113,7 @@ def check_function_races(
     for region in parallel_regions(func):
         if region.loop is None:
             diagnostics.append(
-                _diagnose(
+                diagnose(
                     "OMP003",
                     "'#pragma omp parallel for' is not followed by a for loop",
                     filename=filename,
@@ -158,7 +130,7 @@ def check_function_races(
             continue
         if report.induction is None:
             diagnostics.append(
-                _diagnose(
+                diagnose(
                     "OMP004",
                     "cannot identify the induction variable of the parallel "
                     "loop; sharing classification skipped",

@@ -22,9 +22,11 @@ the SARIF export embeds as the driver's rule metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
-from repro.analysis.diagnostics import Severity
+from repro.analysis.diagnostics import Diagnostic, Severity
+from repro.cir import ast
+from repro.cir.printer import SourceMap
 
 
 @dataclass(frozen=True)
@@ -183,3 +185,33 @@ _RULE_LIST = [
 
 #: Rule registry keyed by id.
 RULES: Dict[str, Rule] = {rule.id: rule for rule in _RULE_LIST}
+
+
+def diagnose(
+    rule: str,
+    message: str,
+    *,
+    filename: str,
+    phase: str,
+    function: Optional[str] = None,
+    node: Optional[ast.Node] = None,
+    lines: Optional[SourceMap] = None,
+    hint: Optional[str] = None,
+) -> Diagnostic:
+    """A finding of ``rule`` at ``node``, with the rule's severity.
+
+    The printed line comes from ``lines`` when both it and ``node`` are
+    given; ``node`` also anchors ``#pragma socrates suppress`` spans.
+    """
+    located = lines is not None and node is not None
+    return Diagnostic(
+        rule=rule,
+        severity=RULES[rule].severity,
+        message=message,
+        file=filename,
+        function=function,
+        line=lines.line_of(node) if located else None,
+        hint=hint,
+        phase=phase,
+        anchor_id=id(node) if node is not None else None,
+    )

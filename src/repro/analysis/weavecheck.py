@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.rules import RULES
+from repro.analysis.rules import diagnose
 from repro.cir import ast
 from repro.cir.printer import SourceMap
 from repro.cir.visitor import walk
@@ -23,29 +23,6 @@ from repro.gcc.flags import parse_pragma
 from repro.lara.strategies.multiversioning import THREADS_VARIABLE, VERSION_VARIABLE
 from repro.margot import weavepoints
 from repro.cir.dataflow import is_parallel_for_pragma, parse_omp_clauses
-
-
-def _diagnose(
-    rule: str,
-    message: str,
-    *,
-    filename: str,
-    function: Optional[str] = None,
-    node: Optional[ast.Node] = None,
-    lines: Optional[SourceMap] = None,
-    hint: Optional[str] = None,
-) -> Diagnostic:
-    return Diagnostic(
-        rule=rule,
-        severity=RULES[rule].severity,
-        message=message,
-        file=filename,
-        function=function,
-        line=lines.line_of(node) if (lines is not None and node is not None) else None,
-        hint=hint,
-        phase="woven",
-        anchor_id=id(node) if node is not None else None,
-    )
 
 
 def _call_name(stmt: ast.Stmt) -> Optional[str]:
@@ -118,10 +95,11 @@ def _check_kernel(
     for name, spec in zip(version_names, result.versions):
         if not unit.has_function(name):
             diagnostics.append(
-                _diagnose(
+                diagnose(
                     "WV101",
                     f"cloned version {name!r} of kernel {kernel!r} is missing",
                     filename=filename,
+                    phase="woven",
                     function=kernel,
                     hint="the Multiversioning strategy must emit one clone per VersionSpec",
                 )
@@ -135,10 +113,11 @@ def _check_kernel(
     # -- wrapper dispatch (WV101 / WV102) -------------------------------------
     if not unit.has_function(wrapper_name):
         diagnostics.append(
-            _diagnose(
+            diagnose(
                 "WV101",
                 f"dispatch wrapper {wrapper_name!r} for kernel {kernel!r} is missing",
                 filename=filename,
+                phase="woven",
                 function=kernel,
             )
         )
@@ -156,10 +135,11 @@ def _check_kernel(
         for node in walk(func.body):
             if isinstance(node, ast.Call) and node.name == kernel:
                 diagnostics.append(
-                    _diagnose(
+                    diagnose(
                         "WV104",
                         f"call to original kernel {kernel!r} survived weaving",
                         filename=filename,
+                        phase="woven",
                         function=func.name,
                         node=node,
                         lines=lines,
@@ -185,11 +165,12 @@ def _check_clone_pragmas(
                 pass
     if spec.compiler not in configs:
         diagnostics.append(
-            _diagnose(
+            diagnose(
                 "WV103",
                 f"clone {clone.name!r} lacks the '#pragma {spec.compiler.pragma_text}' "
                 f"of its VersionSpec",
                 filename=filename,
+                phase="woven",
                 function=clone.name,
                 node=clone,
                 lines=lines,
@@ -202,11 +183,12 @@ def _check_clone_pragmas(
         clauses = parse_omp_clauses(node.text)
         if clauses.num_threads != THREADS_VARIABLE:
             diagnostics.append(
-                _diagnose(
+                diagnose(
                     "WV103",
                     f"parallel-for pragma of clone {clone.name!r} does not set "
                     f"num_threads({THREADS_VARIABLE})",
                     filename=filename,
+                    phase="woven",
                     function=clone.name,
                     node=node,
                     lines=lines,
@@ -215,12 +197,13 @@ def _check_clone_pragmas(
             )
         if clauses.proc_bind != spec.binding.omp_name:
             diagnostics.append(
-                _diagnose(
+                diagnose(
                     "WV103",
                     f"parallel-for pragma of clone {clone.name!r} has "
                     f"proc_bind({clauses.proc_bind or 'none'}), VersionSpec "
                     f"requires proc_bind({spec.binding.omp_name})",
                     filename=filename,
+                    phase="woven",
                     function=clone.name,
                     node=node,
                     lines=lines,
@@ -240,11 +223,12 @@ def _check_wrapper(
     arms, has_default, offending = _dispatch_arms(wrapper)
     if offending is not None:
         diagnostics.append(
-            _diagnose(
+            diagnose(
                 "WV101",
                 f"wrapper {wrapper.name!r} has an unrecognized dispatch shape "
                 f"(expected an if-else chain on {VERSION_VARIABLE})",
                 filename=filename,
+                phase="woven",
                 function=wrapper.name,
                 node=offending,
                 lines=lines,
@@ -261,11 +245,12 @@ def _check_wrapper(
         if extra:
             detail.append(f"unexpected {extra}")
         diagnostics.append(
-            _diagnose(
+            diagnose(
                 "WV101",
                 f"wrapper {wrapper.name!r} dispatches to {len(called)} version(s), "
                 f"plan has {len(version_names)}: " + "; ".join(detail or ["order/arity mismatch"]),
                 filename=filename,
+                phase="woven",
                 function=wrapper.name,
                 node=wrapper,
                 lines=lines,
@@ -275,11 +260,12 @@ def _check_wrapper(
     for arm_index, (matched, callee) in enumerate(arms):
         if matched is not None and matched != arm_index:
             diagnostics.append(
-                _diagnose(
+                diagnose(
                     "WV101",
                     f"wrapper {wrapper.name!r} arm {arm_index} tests "
                     f"{VERSION_VARIABLE} == {matched}",
                     filename=filename,
+                    phase="woven",
                     function=wrapper.name,
                     node=wrapper,
                     lines=lines,
@@ -287,11 +273,12 @@ def _check_wrapper(
             )
     if not has_default:
         diagnostics.append(
-            _diagnose(
+            diagnose(
                 "WV102",
                 f"wrapper {wrapper.name!r} has no unconditional default arm: "
                 f"an out-of-range {VERSION_VARIABLE} would compute nothing",
                 filename=filename,
+                phase="woven",
                 function=wrapper.name,
                 node=wrapper,
                 lines=lines,
@@ -314,11 +301,12 @@ def _check_control_variables(
     for name, count in counts.items():
         if count != 1:
             diagnostics.append(
-                _diagnose(
+                diagnose(
                     "WV105",
                     f"control variable {name!r} declared {count} time(s) at "
                     f"file scope, expected exactly once",
                     filename=filename,
+                    phase="woven",
                     hint="the Multiversioning strategy declares each control "
                     "variable once before the first kernel",
                 )
@@ -338,20 +326,22 @@ def _check_margot_points(
         for decl in unit.decls
     ):
         diagnostics.append(
-            _diagnose(
+            diagnose(
                 "WV106",
                 f"woven unit does not include {weavepoints.MARGOT_HEADER!r}",
                 filename=filename,
+                phase="woven",
             )
         )
     # init at the entry of main
     if not unit.has_function(plan.main):
         diagnostics.append(
-            _diagnose(
+            diagnose(
                 "WV106",
                 f"entry function {plan.main!r} not found; cannot verify "
                 f"{weavepoints.INIT_CALL}()",
                 filename=filename,
+                phase="woven",
             )
         )
     else:
@@ -359,11 +349,12 @@ def _check_margot_points(
         first = main.body.stmts[0] if main.body.stmts else None
         if first is None or _call_name(first) != weavepoints.INIT_CALL:
             diagnostics.append(
-                _diagnose(
+                diagnose(
                     "WV106",
                     f"{weavepoints.INIT_CALL}() is not the "
                     f"{weavepoints.INIT_POINT.placement}",
                     filename=filename,
+                    phase="woven",
                     function=plan.main,
                     node=first or main,
                     lines=lines,
@@ -415,11 +406,12 @@ def _check_call_site(
         actual = _call_name(neighbor) if neighbor is not None else None
         if actual != point.call:
             diagnostics.append(
-                _diagnose(
+                diagnose(
                     "WV106",
                     f"{point.call}() must be the {point.placement} to "
                     f"{wrapper!r} (found {actual or 'nothing'})",
                     filename=filename,
+                    phase="woven",
                     function=function,
                     node=anchor,
                     lines=lines,
@@ -433,11 +425,12 @@ def _check_call_site(
         actual = _call_name(neighbor) if neighbor is not None else None
         if actual != point.call:
             diagnostics.append(
-                _diagnose(
+                diagnose(
                     "WV106",
                     f"{point.call}() must be the {point.placement} to "
                     f"{wrapper!r} (found {actual or 'nothing'})",
                     filename=filename,
+                    phase="woven",
                     function=function,
                     node=anchor,
                     lines=lines,

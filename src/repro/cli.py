@@ -630,7 +630,9 @@ def cmd_check(args: argparse.Namespace) -> int:
             from repro.machine.registry import resolve_machine
 
             machine = resolve_machine(getattr(args, "machine", None))
-            plan = build_prune_plan(apps[0], _standard_space(machine))
+            plan = build_prune_plan(
+                apps[0], _standard_space(machine), machine=machine
+            )
             with open(args.prune_plan, "w") as handle:
                 json.dump(plan.as_dict(), handle, indent=2, sort_keys=True)
                 handle.write("\n")
@@ -1487,7 +1489,7 @@ def _record_trace_run(args, store, slowdowns, label):
     )
 
 
-def _store_bench_result(store, result, label, slowdowns, machine=""):
+def _store_bench_result(store, result, label, slowdowns):
     """Record one virtual-clock ScenarioResult as a ``bench`` run.
 
     The stored ``bench.json`` strips the two real-clock fields
@@ -1510,7 +1512,6 @@ def _store_bench_result(store, result, label, slowdowns, machine=""):
         "bench",
         result.spans,
         bench=baseline_text(baseline),
-        machine=machine,
         scenario=result.scenario,
         label=label,
         knobs={"repeats": result.repeats, "slowdowns": _slowdown_knob(slowdowns)},
@@ -1522,14 +1523,17 @@ def _record_bench_run(args, store, slowdowns, label):
     from repro.bench import run_scenario
     from repro.obs.store import recording_observability
 
+    if getattr(args, "machine", None):
+        raise ValueError(
+            "--machine does not apply to the bench kind: each bench "
+            "scenario runs on its own fixed machine"
+        )
     result = run_scenario(
         args.target,
         repeats=args.repeats,
         obs_factory=lambda: recording_observability(slowdowns or None),
     )
-    return _store_bench_result(
-        store, result, label, slowdowns, machine=getattr(args, "machine", None) or ""
-    )
+    return _store_bench_result(store, result, label, slowdowns)
 
 
 _WAREHOUSE_RECORDERS = {

@@ -376,6 +376,29 @@ def aggregate_runs(
 # -- the store -----------------------------------------------------------------
 
 
+def _write_atomic(target: Path, data: bytes) -> None:
+    """Write ``data`` to ``target`` through a per-process temp file in
+    the same directory that is then renamed over ``target``, so the
+    path only ever holds complete bytes.  The ".tmp-" prefix never
+    matches a sha256 or a run id."""
+    target.parent.mkdir(parents=True, exist_ok=True)
+    temp = target.with_name(f".tmp-{os.getpid()}-{target.name}")
+    try:
+        temp.write_bytes(data)
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
+def _holds_valid_record(path: Path) -> bool:
+    try:
+        validate_run_record(json.loads(path.read_text()), label=str(path))
+    except (OSError, ValueError):
+        return False
+    return True
+
+
 class TelemetryStore:
     """The on-disk warehouse: blobs, run records, journal, pins."""
 
@@ -408,27 +431,16 @@ class TelemetryStore:
     def put_blob(self, data: bytes, suffix: str) -> Tuple[str, bool]:
         """Store ``data``; returns (sha256, created).  Dedup by content.
 
-        Crash-safe: the bytes go to a temp file in the blob's bucket
-        that is then renamed over the final path, so a blob path only
-        ever holds a complete blob (a temp file a crash leaves behind
-        is an orphan :meth:`gc` sweeps).  A file already there counts
-        as a dedup hit only if it hashes back to ``sha256``; one left
-        truncated by an older writer is rewritten.
+        Crash-safe (:func:`_write_atomic`; a temp file a crash leaves
+        behind is an orphan :meth:`gc` sweeps).  A file already there
+        counts as a dedup hit only if it hashes back to ``sha256``; one
+        left truncated by an older writer is rewritten.
         """
         sha = content_hash(data)
         target = self.blob_path(sha, suffix)
         if target.exists() and content_hash(target.read_bytes()) == sha:
             return sha, False
-        target.parent.mkdir(parents=True, exist_ok=True)
-        # a per-process name, and its ".tmp-" prefix never matches a
-        # sha256 in find_blob
-        temp = target.with_name(f".tmp-{os.getpid()}-{target.name}")
-        try:
-            temp.write_bytes(data)
-            os.replace(temp, target)
-        except BaseException:
-            temp.unlink(missing_ok=True)
-            raise
+        _write_atomic(target, data)
         return sha, True
 
     def find_blob(self, sha256: str, suffix: str = "") -> Optional[Path]:
@@ -466,10 +478,12 @@ class TelemetryStore:
     ) -> Tuple[str, bool]:
         """Record one run; returns (run_id, created).
 
-        Idempotent: when a record with the same identity already
+        Idempotent: when a valid record with the same identity already
         exists, nothing is written (no blobs, no journal line) and
         ``created`` is False — so recording the same seeded run twice
-        leaves the store byte-identical.
+        leaves the store byte-identical.  The record is written like a
+        blob (:func:`_write_atomic`), and one that no longer validates,
+        say truncated by an older writer, is rewritten and journalled.
 
         ``derivations`` are artifact-to-artifact provenance edges by
         artifact *name*, e.g. ``("trace.json", "profile.folded",
@@ -487,7 +501,7 @@ class TelemetryStore:
         }
         run_id = run_id_for(identity)
         record_path = self.runs_dir / f"{run_id}.json"
-        if record_path.exists():
+        if _holds_valid_record(record_path):
             return run_id, False
         entries: List[Dict[str, object]] = []
         sha_by_name: Dict[str, str] = {}
@@ -532,10 +546,8 @@ class TelemetryStore:
             "artifacts": entries,
             "edges": edges,
         }
-        self.runs_dir.mkdir(parents=True, exist_ok=True)
-        with open(record_path, "w") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+        _write_atomic(record_path, text.encode())
         with open(self.journal_path, "a") as handle:
             handle.write(run_id + "\n")
         return run_id, True

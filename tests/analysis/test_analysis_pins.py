@@ -99,33 +99,13 @@ def analysis_pins() -> dict:
     return pins
 
 
-def _plan_bytes_from_api(app, machine_name: str) -> bytes:
-    """The bytes ``check --prune-plan`` writes, built as ``dse --prune``
-    builds its plan (the machine passed through)."""
-    from repro.analysis.cost import build_prune_plan
-    from repro.cli import _standard_space
-    from repro.machine.registry import resolve_machine
-
-    machine = resolve_machine(machine_name)
-    plan = build_prune_plan(app, _standard_space(machine), machine=machine)
-    return (json.dumps(plan.as_dict(), indent=2, sort_keys=True) + "\n").encode()
-
-
 def plan_pins() -> dict:
-    """sha256 of ``check APP --prune-plan FILE`` per machine and app.
-
-    ``check --prune-plan`` does not pass ``--machine`` on to the plan
-    builder, so a heterogeneous lattice fails there; those plans are
-    built through the API the way ``dse --prune`` builds them."""
+    """sha256 of ``check APP --prune-plan FILE`` per machine and app."""
     pins = {}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "plan.json"
         for machine in MACHINES:
             for app in all_apps():
-                if machine != "xeon_2s":
-                    data = _plan_bytes_from_api(app, machine)
-                    pins[f"{machine}/{app.name}"] = _sha256(data)
-                    continue
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = main(
                         [

@@ -179,6 +179,37 @@ class TestBuildPrunePlan:
         assert len(masked) == plan.masked_count
         assert all(point_key(p) in plan.masked for p in masked)
 
+    def test_interval_analysis_runs_once_per_defined_function(self, monkeypatch):
+        """A plan analyzes each function once: the cost oracle takes the
+        kernel's interval facts from its summary pass."""
+        import sys
+
+        from repro.analysis import intervals
+        from repro.polybench.suite import all_apps
+
+        original = intervals.analyze_function
+        analyzed = []
+
+        def counting(func, env=None):
+            analyzed.append(func.name)
+            return original(func, env)
+
+        # rebind every module-level copy, whichever module imported it
+        for module in list(sys.modules.values()):
+            if getattr(module, "analyze_function", None) is original:
+                monkeypatch.setattr(module, "analyze_function", counting)
+        machine = resolve_machine(None)
+        space = _standard_space(machine)
+        defined_total = 0
+        for app in all_apps():
+            unit = app.parse()
+            defined = sorted(func.name for func in unit.functions())
+            defined_total += len(defined)
+            analyzed.clear()
+            build_prune_plan(app, space, unit=unit, machine=machine)
+            assert sorted(analyzed) == defined, app.name
+        assert defined_total == 50
+
 
 _names = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz0123456789_-|.", min_size=1, max_size=20

@@ -258,6 +258,19 @@ _NAN_WALL = dict(_golden_baseline().wall_s.as_dict(), median=float("nan"))
 def _incident(**fields):
     return json.dumps(dict(incident_bundle().as_dict(), **fields))
 
+
+def _trace_text():
+    return json.dumps(chrome_trace(native_spans(), counters=COUNTERS))
+
+
+def _profile_json():
+    profile = FlameProfile.from_spans(native_spans(), label="pin")
+    return json.dumps(profile.as_dict(), indent=2, sort_keys=True)
+
+
+def _ledger(**fields):
+    return json.dumps(dict(ledger_document(), **fields), indent=2, sort_keys=True)
+
 #: (case id, artifact kind, file name, file text, expected error fragment)
 MALFORMED = [
     # the consumers accepted these at the parent commit
@@ -343,6 +356,18 @@ MALFORMED = [
         "incident-foreign-version", "incident", "INC_inc-4.json",
         _incident(schema="socrates-incident/9"),
         "unknown schema 'socrates-incident/9'",
+    ),
+    # Chrome traces, profile JSON and energy ledgers: the same generic cases
+    ("trace-truncated", "trace", "t.json", _trace_text()[:60], "not valid JSON"),
+    ("trace-empty", "trace", "t.json", "", "not valid JSON"),
+    ("profile-json-truncated", "profile", "p.json", _profile_json()[:60], "not valid JSON"),
+    ("profile-json-empty", "profile", "p.json", "", "not valid JSON"),
+    ("ledger-truncated", "ledger", "l.json", _ledger()[:60], "not valid JSON"),
+    ("ledger-empty", "ledger", "l.json", "", "not valid JSON"),
+    (
+        "ledger-foreign-version", "ledger", "l.json",
+        _ledger(schema="socrates-energy/9"),
+        "unexpected ledger schema 'socrates-energy/9'",
     ),
 ]
 

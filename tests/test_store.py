@@ -178,6 +178,34 @@ class TestTelemetryStore:
         assert store.verify()["artifacts"] == 1
         assert store.blobs() == [target]  # no temp file beside it
 
+    def test_truncated_record_is_rewritten_and_journalled(self, tmp_path):
+        # what a crash mid-write leaves at a record's path: the journal
+        # line comes after the record, so it is missing too
+        store = TelemetryStore(tmp_path / "wh")
+        blob = ArtifactBlob("bench.json", b'{"x": 1}')
+        run_id, _ = store.record("bench", scenario="s", artifacts=[blob])
+        path = store.runs_dir / f"{run_id}.json"
+        intact = path.read_bytes()
+        path.write_bytes(intact[:40])
+        store.journal_path.write_text("")
+        assert store.run_ids() == []
+        assert store.record("bench", scenario="s", artifacts=[blob]) == (run_id, True)
+        assert path.read_bytes() == intact
+        assert validate_run_record(store.load_run(run_id))["run_id"] == run_id
+        assert store.run_ids() == [run_id]
+        assert sorted(p.name for p in store.runs_dir.iterdir()) == [path.name]
+
+    def test_failed_record_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def crash(src, dst):
+            raise OSError("rename failed")
+
+        store = TelemetryStore(tmp_path / "wh")
+        monkeypatch.setattr("repro.obs.store.os.replace", crash)
+        with pytest.raises(OSError, match="rename failed"):
+            store.record("build", app="a")
+        assert list(store.runs_dir.iterdir()) == []
+        assert store.run_ids() == []
+
     def test_failed_blob_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
         def crash(src, dst):
             raise OSError("rename failed")
@@ -334,6 +362,24 @@ class TestWarehouseCli:
             "--store", str(store), "--repeats", "1", "--label", label, "--json",
         ] + list(extra)
         assert main(argv) == 0
+
+    def test_bench_kind_rejects_machine_before_running(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a bench scenario runs on its own fixed machine, so --machine
+        # would only relabel identical runs under a second run id
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("scenario ran")
+
+        monkeypatch.setattr("repro.bench.run_scenario", must_not_run)
+        store = tmp_path / "wh"
+        argv = [
+            "obs", "runs", "record", "bench", "single_build",
+            "--store", str(store), "--machine", "biglittle_4p4e",
+        ]
+        assert main(argv) == 2
+        assert "--machine does not apply to the bench kind" in capsys.readouterr().err
+        assert TelemetryStore(store).run_ids() == []
 
     def test_cli_double_record_byte_identical(self, tmp_path, capsys):
         store = tmp_path / "wh"

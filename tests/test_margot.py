@@ -1,6 +1,8 @@
 """Tests for the mARGOt runtime autotuner."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.margot.asrtm import ApplicationRuntimeManager, AsrtmError
 from repro.margot.goal import ComparisonFunction, Goal
@@ -29,6 +31,14 @@ from repro.margot.state import (
     maximize_throughput,
     maximize_throughput_per_watt_squared,
     minimize_time,
+)
+from repro.obs.audit import (
+    AdaptationAuditLog,
+    AdaptationEntry,
+    CandidateTrace,
+    ConstraintTrace,
+    compose_reason,
+    describe_rank,
 )
 
 
@@ -392,6 +402,27 @@ class TestAsrtm:
         best = asrtm.update()
         assert best.knob("threads") == 8  # least power violation among qualifiers
 
+    def test_relaxation_keeps_values_within_rounding(self):
+        # both OPs miss 0.2 W; 0.1 + 1 * 0.2 rounds to 0.30000000000000004,
+        # so their violations differ by one ulp and both stay candidates
+        precise = OperatingPoint(
+            knobs={"threads": 1},
+            metrics={"time": MetricStats(2.0), "power": MetricStats(0.3)},
+        )
+        rounded = OperatingPoint(
+            knobs={"threads": 2},
+            metrics={"time": MetricStats(1.0), "power": MetricStats(0.1, 0.2)},
+        )
+        asrtm = ApplicationRuntimeManager(KnowledgeBase([precise, rounded]))
+        state = OptimizationState("tiny", rank=minimize_time())
+        state.add_constraint(
+            Constraint(
+                Goal("power", ComparisonFunction.LESS_OR_EQUAL, 0.2), confidence=1.0
+            )
+        )
+        asrtm.add_state(state)
+        assert asrtm.update().knob("threads") == 2
+
     def test_switch_state(self, kb):
         asrtm = ApplicationRuntimeManager(kb)
         asrtm.add_state(OptimizationState("perf", rank=minimize_time()))
@@ -486,3 +517,262 @@ class TestManager:
     def test_monitors_exposed(self, kb):
         manager = MargotManager("k", kb)
         assert set(manager.monitors) == {"time", "throughput", "power"}
+
+
+# ---------------------------------------------------------------------------
+# update() against the two-path decision it replaced
+# ---------------------------------------------------------------------------
+#
+# The reference below is the selection as it stood before ``update()``
+# became a single pass: a filter with optional trace plumbing, a plain
+# first-best scan, and an auditing variant that ranks every survivor
+# best-first.  The property asserts that the manager picks the same
+# winner, reports the same constraint traces and writes the same audit
+# entry, bit for bit.
+
+_METRICS = ("time", "power", "throughput")
+# 0.1 + 0.2 != 0.3: near-equal values that only the relaxation
+# tolerance keeps together
+_GRID = (-1.0, 0.0, 0.1, 0.2, 0.3, 0.5, 1.0, 2.0, 4.0, 8.0)
+
+
+def _ref_adjusted_metrics(point, feedback):
+    values = {}
+    for name, stats in point.metrics.items():
+        values[name] = stats.mean * feedback.get(name, 1.0)
+    for name, value in point.knobs.items():
+        if isinstance(value, (int, float)) and name not in values:
+            values[name] = float(value)
+    return values
+
+
+def _ref_filter(knowledge, feedback, knob_filters, state, trace=None):
+    survivors = knowledge.points()
+    if knob_filters:
+        survivors = [
+            point
+            for point in survivors
+            if all(point.knobs.get(name) == value for name, value in knob_filters.items())
+        ]
+        if not survivors:
+            raise AsrtmError("knob filters match no operating point")
+    for constraint in state.constraints:
+        adjust = feedback.get(constraint.goal.field, 1.0)
+        before = len(survivors)
+        satisfying = [
+            point for point in survivors if constraint.satisfied_by(point, adjust)
+        ]
+        if satisfying:
+            survivors = satisfying
+            relaxed = False
+        else:
+            best_violation = min(
+                constraint.violation(point, adjust) for point in survivors
+            )
+            survivors = [
+                point
+                for point in survivors
+                if constraint.violation(point, adjust) <= best_violation + 1e-12
+            ]
+            relaxed = True
+        if trace is not None:
+            trace.append(
+                ConstraintTrace(
+                    goal=str(constraint.goal),
+                    adjustment=adjust,
+                    survivors_before=before,
+                    survivors_after=len(survivors),
+                    relaxed=relaxed,
+                )
+            )
+    return survivors
+
+
+def _ref_rank(state, candidates, feedback):
+    best_point = candidates[0]
+    best_value = state.rank.evaluate(_ref_adjusted_metrics(best_point, feedback))
+    for point in candidates[1:]:
+        value = state.rank.evaluate(_ref_adjusted_metrics(point, feedback))
+        if state.rank.better(value, best_value):
+            best_value = value
+            best_point = point
+    return best_point
+
+
+def _ref_rank_all(state, candidates, feedback):
+    valued = [
+        (point, state.rank.evaluate(_ref_adjusted_metrics(point, feedback)))
+        for point in candidates
+    ]
+    best_point, best_value = valued[0]
+    for point, value in valued[1:]:
+        if state.rank.better(value, best_value):
+            best_value = value
+            best_point = point
+    reverse = state.rank.better(1.0, 0.0)
+    ranked = sorted(
+        enumerate(valued),
+        key=lambda item: (-item[1][1] if reverse else item[1][1], item[0]),
+    )
+    return best_point, [pair for _, pair in ranked]
+
+
+def _ref_entry(knowledge, state, best, ranked, traces, previous, limit, sequence, now):
+    entry = AdaptationEntry(
+        sequence=sequence,
+        timestamp=now,
+        state=state.name,
+        rank=describe_rank(state.rank),
+        considered=len(knowledge),
+        survivors=len(ranked),
+        constraints=traces,
+        candidates=[
+            CandidateTrace(knobs=point.key, rank_value=value)
+            for point, value in ranked[:limit]
+        ],
+        winner=dict(best.knobs),
+        winner_rank=next(value for point, value in ranked if point.key == best.key),
+        switched_from=dict(previous.knobs) if previous is not None else None,
+        reason="",
+    )
+    entry.reason = compose_reason(entry)
+    return entry
+
+
+_grid = st.sampled_from(_GRID)
+_stats = st.builds(MetricStats, _grid, st.sampled_from((0.0, 0.1, 0.2, 0.5, 1.0)))
+
+
+@st.composite
+def _knowledge_bases(draw):
+    keys = draw(
+        st.lists(
+            st.tuples(st.integers(1, 32), st.sampled_from(("P", "E"))),
+            min_size=1,
+            max_size=64,
+            unique=True,
+        )
+    )
+    return KnowledgeBase(
+        OperatingPoint(
+            knobs={"threads": threads, "cluster": cluster},
+            metrics={name: draw(_stats) for name in _METRICS},
+        )
+        for threads, cluster in keys
+    )
+
+
+_constraints = st.builds(
+    lambda field, comparison, value, confidence, priority: Constraint(
+        Goal(field, comparison, value), priority=priority, confidence=confidence
+    ),
+    st.sampled_from(_METRICS + ("threads",)),
+    st.sampled_from(list(ComparisonFunction)),
+    st.sampled_from(_GRID + (16.0,)),
+    st.sampled_from((0.0, 1.0, 2.0)),
+    st.integers(0, 3),
+)
+
+_ranks = st.builds(
+    Rank,
+    st.sampled_from(list(RankDirection)),
+    st.sampled_from(list(RankComposition)),
+    st.lists(
+        st.builds(
+            RankField,
+            st.sampled_from(_METRICS + ("threads",)),
+            st.sampled_from((-2.0, -1.0, 0.5, 1.0, 2.0)),
+        ),
+        min_size=1,
+        max_size=3,
+    ).map(tuple),
+)
+
+_feedback = st.dictionaries(
+    st.sampled_from(_METRICS), st.sampled_from((0.5, 0.8, 1.0, 1.25, 2.0))
+)
+
+
+class TestUpdateMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        knowledge=_knowledge_bases(),
+        rank=_ranks,
+        constraints=st.lists(_constraints, max_size=3),
+        impossible=st.booleans(),
+        first_feedback=_feedback,
+        second_feedback=_feedback,
+        cluster=st.sampled_from((None, "P", "E")),
+        limit=st.integers(1, 6),
+    )
+    def test_same_winner_traces_and_entry(
+        self,
+        knowledge,
+        rank,
+        constraints,
+        impossible,
+        first_feedback,
+        second_feedback,
+        cluster,
+        limit,
+    ):
+        state = OptimizationState("s", rank=rank)
+        for constraint in constraints[: 2 if impossible else 3]:
+            state.add_constraint(constraint)
+        if impossible:
+            # nothing reaches 1e9: this constraint is always relaxed
+            state.add_constraint(
+                Constraint(
+                    Goal("power", ComparisonFunction.GREATER_OR_EQUAL, 1e9),
+                    priority=2,
+                )
+            )
+        audit = AdaptationAuditLog(max_candidates=limit)
+        audited = ApplicationRuntimeManager(knowledge, audit=audit)
+        plain = ApplicationRuntimeManager(knowledge)
+        knob_filters = {} if cluster is None else {"cluster": cluster}
+        for asrtm in (audited, plain):
+            asrtm.add_state(state)
+            for name, value in knob_filters.items():
+                asrtm.set_knob_filter(name, value)
+
+        previous = None
+        expected_entries = []
+        for now, feedback in ((1.0, first_feedback), (2.0, second_feedback)):
+            for asrtm in (audited, plain):
+                asrtm._feedback = dict(feedback)
+            traces = []
+            try:
+                survivors = _ref_filter(
+                    knowledge, feedback, knob_filters, state, trace=traces
+                )
+            except AsrtmError:
+                for asrtm in (audited, plain):
+                    with pytest.raises(AsrtmError):
+                        asrtm.update(now=now)
+                return
+            expected = _ref_rank(state, survivors, feedback)
+            best, ranked = _ref_rank_all(state, survivors, feedback)
+            assert best.key == expected.key
+            assert audited.update(now=now).key == expected.key
+            assert plain.update(now=now).key == expected.key
+            if previous is None or previous.key != expected.key:
+                expected_entries.append(
+                    _ref_entry(
+                        knowledge,
+                        state,
+                        expected,
+                        ranked,
+                        traces,
+                        previous,
+                        limit,
+                        len(expected_entries),
+                        now,
+                    )
+                )
+            previous = expected
+
+        assert [entry.constraints for entry in audit.entries] == [
+            entry.constraints for entry in expected_entries
+        ]
+        assert audit.as_dicts() == [entry.as_dict() for entry in expected_entries]

@@ -273,7 +273,6 @@ def _run_cobayn_corpus(obs: Observability) -> Dict[str, object]:
 def _run_adaptation_loop(obs: Observability) -> Dict[str, object]:
     flow, app, records = _fig5_workload(obs)
     obs.absorb_engine(flow.engine)
-    obs.absorb_monitors(app.manager.monitors)
     # the virtual-RAPL energy columns: recorded as metrics (picked up
     # by ScenarioResult.energy_j), NOT in the fingerprint — energy is
     # floating point and compared with a tolerance by the gate, while
@@ -303,7 +302,6 @@ def _run_biglittle_power_cap(obs: Observability) -> Dict[str, object]:
     app = flow.build(load("mvt")).adaptive
     records = power_cap_flip(app, 22.0, 3.0).run(app)
     obs.absorb_engine(flow.engine)
-    obs.absorb_monitors(app.manager.monitors)
     timeline = build_timeline(app, records)
     timeline.record_metrics(obs.metrics)
     # per-cluster conservation is part of the scenario's contract: the

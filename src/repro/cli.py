@@ -440,11 +440,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print(f"Wrote trace to {args.csv}")
     if obs is not None:
         obs.absorb_engine(flow.engine)
-        obs.absorb_monitors(app.manager.monitors)
         _write_obs_artifacts(obs, args)
     if store_dir:
-        # record only after the engine counters and monitor statistics
-        # were absorbed, so the stored metrics.prom carries them
+        # record only after the engine counters were absorbed (the
+        # monitors are absorbed after every invocation), so the stored
+        # metrics.prom carries both
         recorded = _record_run(
             _open_store(store_dir),
             "trace",
@@ -510,7 +510,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     """Interpret a benchmark source (optionally weaved) at a tiny size."""
     from repro.cir import parse
     from repro.cir.interp import Interpreter
-    from repro.polybench.datasets import DATASETS
 
     obs = _make_obs(args)
     if obs is None:
@@ -783,7 +782,6 @@ def _fig5_scenario(args: argparse.Namespace, obs):
     )
     records = scenario.run(app)
     obs.absorb_engine(flow.engine)
-    obs.absorb_monitors(app.manager.monitors)
     return result, app, records, flow
 
 

@@ -16,21 +16,23 @@ in priority order; if a constraint wipes out every surviving OP it is
 *relaxed* — the OPs closest to satisfying it are kept instead; the
 rank then orders the survivors.
 
-When an :class:`~repro.obs.audit.AdaptationAuditLog` is attached,
-every selection that *switches* the operating point records one
-explained entry — candidates considered, constraint filtering (with
-feedback adjustments and relaxations), rank values, and the reason the
-winner won.  Without an audit log attached, ``update`` takes the exact
-pre-observability fast path.
+Each selection is one pass: every survivor's rank value is computed
+once and the first best one wins.  When an
+:class:`~repro.obs.audit.AdaptationAuditLog` is attached, every
+selection that *switches* the operating point records one explained
+entry from that same pass — candidates considered, constraint
+filtering (with feedback adjustments and relaxations), the rank values
+sorted best first, and the reason the winner won.  Without an audit
+log the pass is the same, minus the sort and the entry.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.margot.knowledge import KnowledgeBase, OperatingPoint
 from repro.margot.monitor import Monitor
-from repro.margot.state import Constraint, OptimizationState
+from repro.margot.state import OptimizationState, RankDirection
 from repro.obs.audit import (
     AdaptationAuditLog,
     AdaptationEntry,
@@ -163,15 +165,14 @@ class ApplicationRuntimeManager:
         """
         self.ingest_feedback()
         state = self.active_state
-        auditing = self._audit is not None
-        constraint_traces: Optional[List[ConstraintTrace]] = (
-            [] if auditing else None
-        )
-        survivors = self._filter(state, trace=constraint_traces)
-        if auditing:
-            best, ranked = self._rank_all(state, survivors)
-        else:
-            best = self._rank(state, survivors)
+        survivors, constraint_traces = self._filter(state)
+        if not survivors:
+            raise AsrtmError("constraint filtering produced no candidates")
+        values = [
+            state.rank.evaluate(self._adjusted_metrics(point)) for point in survivors
+        ]
+        winner = state.rank.best_index(values)
+        best = survivors[winner]
         switched = self._current is None or best.key != self._current.key
         if switched and self._current is not None:
             # configuration change: observations of the old operating
@@ -179,9 +180,9 @@ class ApplicationRuntimeManager:
             for monitor in self._observations.values():
                 monitor.clear()
         entry = None
-        if auditing and switched:
+        if self._audit is not None and switched:
             entry = self._record_audit(
-                state, best, ranked, constraint_traces or [], now=now
+                state, survivors, values, winner, constraint_traces, now=now
             )
         if switched and self._alerts is not None:
             # Cross-link the deliberate switch into the alerting
@@ -212,20 +213,23 @@ class ApplicationRuntimeManager:
     def _record_audit(
         self,
         state: OptimizationState,
-        best: OperatingPoint,
-        ranked: List[Tuple[OperatingPoint, float]],
+        survivors: List[OperatingPoint],
+        values: List[float],
+        winner: int,
         constraint_traces: List[ConstraintTrace],
         now: Optional[float],
     ) -> AdaptationEntry:
         assert self._audit is not None
-        limit = self._audit.max_candidates
-        candidates = [
-            CandidateTrace(knobs=point.key, rank_value=value)
-            for point, value in ranked[:limit]
-        ]
-        winner_rank = next(
-            value for point, value in ranked if point.key == best.key
+        # best first; knowledge order breaks ties, as in the winner scan
+        reverse = state.rank.direction is RankDirection.MAXIMIZE
+        order = sorted(
+            range(len(values)),
+            key=lambda index: (-values[index] if reverse else values[index], index),
         )
+        candidates = [
+            CandidateTrace(knobs=survivors[index].key, rank_value=values[index])
+            for index in order[: self._audit.max_candidates]
+        ]
         return self._audit.record(
             AdaptationEntry(
                 sequence=self._audit.next_sequence(),
@@ -233,11 +237,11 @@ class ApplicationRuntimeManager:
                 state=state.name,
                 rank=describe_rank(state.rank),
                 considered=len(self._knowledge),
-                survivors=len(ranked),
+                survivors=len(survivors),
                 constraints=constraint_traces,
                 candidates=candidates,
-                winner=dict(best.knobs),
-                winner_rank=winner_rank,
+                winner=dict(survivors[winner].knobs),
+                winner_rank=values[winner],
                 switched_from=dict(self._current.knobs)
                 if self._current is not None
                 else None,
@@ -255,10 +259,8 @@ class ApplicationRuntimeManager:
         return values
 
     def _filter(
-        self,
-        state: OptimizationState,
-        trace: Optional[List[ConstraintTrace]] = None,
-    ) -> List[OperatingPoint]:
+        self, state: OptimizationState
+    ) -> Tuple[List[OperatingPoint], List[ConstraintTrace]]:
         survivors = self._knowledge.points()
         if self._knob_filters:
             survivors = [
@@ -273,77 +275,35 @@ class ApplicationRuntimeManager:
                 raise AsrtmError(
                     f"knob filters {self._knob_filters!r} match no operating point"
                 )
+        traces: List[ConstraintTrace] = []
         for constraint in state.constraints:
             adjust = self._feedback.get(constraint.goal.field, 1.0)
             before = len(survivors)
-            satisfying = [
+            kept = [
                 point for point in survivors if constraint.satisfied_by(point, adjust)
             ]
-            if satisfying:
-                survivors = satisfying
-                relaxed = False
-            else:
+            relaxed = not kept
+            if relaxed:
                 # relaxation: keep the OPs with the smallest violation of
                 # this constraint so more important (earlier) constraints
                 # stay enforced and selection never comes up empty
-                best_violation = min(
+                violations = [
                     constraint.violation(point, adjust) for point in survivors
-                )
-                survivors = [
-                    point
-                    for point in survivors
-                    if constraint.violation(point, adjust) <= best_violation + 1e-12
                 ]
-                relaxed = True
-            if trace is not None:
-                trace.append(
-                    ConstraintTrace(
-                        goal=str(constraint.goal),
-                        adjustment=adjust,
-                        survivors_before=before,
-                        survivors_after=len(survivors),
-                        relaxed=relaxed,
-                    )
+                threshold = min(violations) + 1e-12
+                kept = [
+                    point
+                    for point, violation in zip(survivors, violations)
+                    if violation <= threshold
+                ]
+            survivors = kept
+            traces.append(
+                ConstraintTrace(
+                    goal=str(constraint.goal),
+                    adjustment=adjust,
+                    survivors_before=before,
+                    survivors_after=len(survivors),
+                    relaxed=relaxed,
                 )
-        return survivors
-
-    def _rank(
-        self, state: OptimizationState, candidates: List[OperatingPoint]
-    ) -> OperatingPoint:
-        if not candidates:
-            raise AsrtmError("constraint filtering produced no candidates")
-        best_point = candidates[0]
-        best_value = state.rank.evaluate(self._adjusted_metrics(best_point))
-        for point in candidates[1:]:
-            value = state.rank.evaluate(self._adjusted_metrics(point))
-            if state.rank.better(value, best_value):
-                best_value = value
-                best_point = point
-        return best_point
-
-    def _rank_all(
-        self, state: OptimizationState, candidates: List[OperatingPoint]
-    ) -> Tuple[OperatingPoint, List[Tuple[OperatingPoint, float]]]:
-        """Auditing variant of :meth:`_rank`: same winner (first-best on
-        ties, like the linear scan), plus every candidate's rank value
-        in best-first order."""
-        if not candidates:
-            raise AsrtmError("constraint filtering produced no candidates")
-        valued = [
-            (point, state.rank.evaluate(self._adjusted_metrics(point)))
-            for point in candidates
-        ]
-        best_point, best_value = valued[0]
-        for point, value in valued[1:]:
-            if state.rank.better(value, best_value):
-                best_value = value
-                best_point = point
-        reverse = state.rank.better(1.0, 0.0)  # maximize ⇒ big first
-        ranked = sorted(
-            enumerate(valued),
-            key=lambda item: (
-                -item[1][1] if reverse else item[1][1],
-                item[0],  # stable: knowledge order breaks ties
-            ),
-        )
-        return best_point, [pair for _, pair in ranked]
+            )
+        return survivors, traces

@@ -72,6 +72,15 @@ class Rank:
             return lhs > rhs
         return lhs < rhs
 
+    def best_index(self, values: Sequence[float]) -> int:
+        """Index of the best of ``values``; the first one wins a tie.
+
+        ``max``/``min`` replace their pick only on a strictly
+        :meth:`better` value, exactly like a first-best linear scan.
+        """
+        pick = max if self.direction is RankDirection.MAXIMIZE else min
+        return pick(range(len(values)), key=values.__getitem__)
+
 
 @dataclass
 class Constraint:

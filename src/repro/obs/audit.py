@@ -295,11 +295,6 @@ class AdaptationAuditLog:
         self._entries.append(entry)
         return entry
 
-    def stamp_last(self, timestamp: float) -> None:
-        """Set the virtual-time stamp of the most recent entry."""
-        if self._entries:
-            self._entries[-1].timestamp = timestamp
-
     def next_sequence(self) -> int:
         return len(self._entries)
 

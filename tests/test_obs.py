@@ -299,12 +299,10 @@ class TestAuditLog:
         reason = compose_reason(self._entry(constraints=[trace]))
         assert "relaxed" in reason
 
-    def test_stamp_last_and_sequence(self):
+    def test_next_sequence_counts_entries(self):
         log = AdaptationAuditLog()
         assert log.next_sequence() == 0
         log.record(self._entry())
-        log.stamp_last(12.5)
-        assert log.entries[0].timestamp == 12.5
         assert log.next_sequence() == 1
 
     def test_as_dicts_round_trips_json(self):

@@ -1,7 +1,12 @@
 """Tests for the COBAYN compiler autotuner and its Bayesian network."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cobayn.autotuner import CobaynAutotuner
 from repro.cobayn.bn import (
@@ -11,12 +16,14 @@ from repro.cobayn.bn import (
     learn_structure,
 )
 from repro.cobayn.corpus import (
+    TrainingCorpus,
     assignment_to_config,
     build_corpus,
     flag_assignment,
 )
 from repro.cobayn.discretize import Discretizer
 from repro.gcc.flags import ALL_FLAGS, FlagConfiguration, OptLevel, cobayn_space
+from repro.machine.executor import MachineExecutor
 from repro.milepost.features import extract_features
 from repro.polybench.suite import load
 
@@ -329,3 +336,218 @@ class TestLoocvEvaluation:
 
         with pytest.raises(ValueError):
             loocv_report([load("mvt")], compiler, executor, omp)
+
+
+# -- reference: the structure search and the ranking as first written ------
+#
+# The per-row BIC search and the per-config posterior enumeration, kept
+# here through the public network API, so the learned structure, the
+# CPTs and every posterior of the production code can be compared bit
+# for bit against them.  Two things are left out because nothing reads
+# what they produce: the refit after each rejected candidate (the next
+# score refits first, and the search ends with a fit), and repeated
+# evaluation of the same complete assignment (``probability`` is a pure
+# function of the row, so the enumeration memoises it; every marginal
+# still sums the same terms in the same order).
+
+
+def _reference_bic(network, rows, alpha=1.0):
+    network.fit(rows, alpha=alpha)
+    log_likelihood = sum(network.log_probability(row) for row in rows)
+    parameters = 0
+    for node in network.node_names:
+        parents = network.parents(node)
+        combos = int(
+            np.prod([network.cardinality(p) for p in parents])
+        ) if parents else 1
+        parameters += combos * (network.cardinality(node) - 1)
+    penalty = 0.5 * parameters * math.log(max(2, len(rows)))
+    return log_likelihood - penalty
+
+
+def _reference_learn(nodes, rows, max_parents=2, max_iterations=25,
+                     forbidden_children=None, seed=7):
+    forbidden_children = forbidden_children or set()
+    network = DiscreteBayesianNetwork(nodes)
+    best_score = _reference_bic(network, rows)
+    names = [spec.name for spec in nodes]
+    rng = np.random.default_rng(seed)
+
+    for _ in range(max_iterations):
+        improved = False
+        candidates = [
+            (parent, child)
+            for parent in names
+            for child in names
+            if parent != child and child not in forbidden_children
+        ]
+        rng.shuffle(candidates)
+        for parent, child in candidates:
+            if parent in network.parents(child):
+                network.remove_edge(parent, child)
+                score = _reference_bic(network, rows)
+                if score > best_score + 1e-9:
+                    best_score = score
+                    improved = True
+                else:
+                    network.add_edge(parent, child)
+                continue
+            if len(network.parents(child)) >= max_parents:
+                continue
+            try:
+                network.add_edge(parent, child)
+            except BayesError:
+                continue
+            score = _reference_bic(network, rows)
+            if score > best_score + 1e-9:
+                best_score = score
+                improved = True
+            else:
+                network.remove_edge(parent, child)
+        if not improved:
+            break
+    network.fit(rows)
+    return network
+
+
+def _reference_marginal(network, partial, probabilities):
+    hidden = [name for name in network.node_names if name not in partial]
+    cards = [network.cardinality(name) for name in hidden]
+    total = 0.0
+    for states in itertools.product(*(range(card) for card in cards)):
+        row = dict(partial)
+        row.update(zip(hidden, states))
+        key = tuple(row[name] for name in network.node_names)
+        if key not in probabilities:
+            probabilities[key] = network.probability(row)
+        total += probabilities[key]
+    return total
+
+
+def _reference_posterior(network, query, evidence, probabilities):
+    for node in set(query) & set(evidence):
+        if query[node] != evidence[node]:
+            return 0.0
+    numerator = _reference_marginal(network, {**evidence, **query}, probabilities)
+    denominator = _reference_marginal(network, evidence, probabilities)
+    if denominator == 0.0:
+        return 0.0
+    return numerator / denominator
+
+
+def _reference_ranked(network, evidence):
+    probabilities = {}
+    scored = [
+        (
+            config.label,
+            _reference_posterior(
+                network, flag_assignment(config), evidence, probabilities
+            ),
+        )
+        for config in cobayn_space()
+    ]
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return [(label, posterior.hex()) for label, posterior in scored]
+
+
+def _network_pin(network):
+    return (
+        network.edges(),
+        [(node, network.cpt(node).tobytes()) for node in network.node_names],
+    )
+
+
+#: reference results by input: the reference is a pure function of the
+#: training rows, ``max_parents`` and the evidence, so a fold whose rows
+#: repeat (the corpus is measured noise-free) is computed once
+_REFERENCE_CACHE = {}
+
+
+def _reference_fold(tuner, fold, max_parents, evidence):
+    network = tuner.network
+    rows = fold.rows(tuner.discretizer)
+    key = (
+        tuple(tuple(sorted(row.items())) for row in rows),
+        max_parents,
+        tuple(sorted(evidence.items())),
+    )
+    if key not in _REFERENCE_CACHE:
+        nodes = [
+            NodeSpec(name, network.cardinality(name)) for name in network.node_names
+        ]
+        reference = _reference_learn(
+            nodes,
+            rows,
+            max_parents=max_parents,
+            forbidden_children=set(tuner.discretizer.feature_names),
+        )
+        _REFERENCE_CACHE[key] = (
+            _network_pin(reference),
+            _reference_ranked(reference, evidence),
+        )
+    return _REFERENCE_CACHE[key]
+
+
+@pytest.fixture(scope="module")
+def seeded_corpora(apps, compiler, machine, omp):
+    """The full-suite corpus per executor seed; a fold drops one app."""
+    return {
+        seed: build_corpus(apps, compiler, MachineExecutor(machine, seed=seed), omp)
+        for seed in (20682, 1)
+    }
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("max_parents", [1, 2])
+    @pytest.mark.parametrize("seed", [20682, 1])
+    def test_leave_one_out_folds_match_reference(
+        self, seeded_corpora, seed, max_parents
+    ):
+        corpus = seeded_corpora[seed]
+        for held_out in corpus.examples:
+            fold = TrainingCorpus(
+                [example for example in corpus.examples if example is not held_out]
+            )
+            tuner = CobaynAutotuner(max_parents=max_parents)
+            tuner.train(fold)
+            evidence = tuner.discretizer.transform(held_out.features)
+            network_pin, ranked = _reference_fold(tuner, fold, max_parents, evidence)
+            assert _network_pin(tuner.network) == network_pin, held_out.kernel
+            prediction = tuner.predict(held_out.features)
+            assert [
+                (config.label, posterior.hex()) for config, posterior in prediction.ranked
+            ] == ranked, held_out.kernel
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_small_networks_match_reference(self, data):
+        count = data.draw(st.integers(min_value=2, max_value=5), label="nodes")
+        nodes = [
+            NodeSpec(f"n{index}", data.draw(st.integers(2, 3), label=f"card{index}"))
+            for index in range(count)
+        ]
+        rows = data.draw(
+            st.lists(
+                st.tuples(*(st.integers(0, spec.cardinality - 1) for spec in nodes)),
+                min_size=1,
+                max_size=40,
+            ),
+            label="rows",
+        )
+        rows = [
+            {spec.name: state for spec, state in zip(nodes, row)} for row in rows
+        ]
+        forbidden = set(
+            data.draw(st.lists(st.sampled_from([spec.name for spec in nodes])), label="forbidden")
+        )
+        max_parents = data.draw(st.integers(1, 2), label="max_parents")
+        reference = _reference_learn(
+            nodes, rows, max_parents=max_parents, forbidden_children=forbidden
+        )
+        learned = learn_structure(
+            nodes, rows, max_parents=max_parents, forbidden_children=forbidden
+        )
+        assert learned.edges() == reference.edges()
+        assert _network_pin(learned) == _network_pin(reference)
+        expected = _reference_bic(reference, rows)
+        assert learned.bic_score(rows) == pytest.approx(expected, rel=0, abs=1e-9)

@@ -84,16 +84,21 @@ class CobaynAutotuner:
         self._network = network
 
     def predict(self, features: FeatureVector, k: int = 4) -> CobaynPrediction:
-        """Rank the 128 combinations by posterior given ``features``."""
-        network = self.network
-        evidence = self.discretizer.transform(features)
-        scored: List[Tuple[FlagConfiguration, float]] = []
-        for config in cobayn_space():
-            query = flag_assignment(config)
-            posterior = network.posterior(query, evidence)
-            scored.append((config, posterior))
-        scored.sort(key=lambda item: (-item[1], item[0].label))
-        return CobaynPrediction(kernel=features.kernel, ranked=scored[: max(k, len(scored))])
+        """Rank the 128 combinations by posterior given ``features``.
+
+        ``ranked`` holds the whole 128-point space, most probable first
+        with ties broken by label; :meth:`CobaynPrediction.top` and the
+        ``predict`` CLI take their first ``k`` from it.
+        """
+        space = cobayn_space()
+        posteriors = self.network.posteriors(
+            [flag_assignment(config) for config in space],
+            self.discretizer.transform(features),
+        )
+        ranked = sorted(
+            zip(space, posteriors), key=lambda item: (-item[1], item[0].label)
+        )
+        return CobaynPrediction(kernel=features.kernel, ranked=ranked)
 
     def predict_top(self, features: FeatureVector, k: int = 4) -> List[FlagConfiguration]:
         """Convenience: just the top-``k`` configurations."""

@@ -1,9 +1,17 @@
 """A discrete Bayesian network with CPT estimation, BIC structure
 learning and exact inference.
 
-Small and dependency-free: COBAYN's networks have ~15 nodes with 2-4
-states each, so exact methods (enumeration over the joint of the
-un-observed query variables) are fast and simple.
+COBAYN's networks have ~15 nodes with 2-4 states each, so exact
+methods are fast and simple:
+
+* **structure**: greedy hill-climbing under BIC.  BIC decomposes per
+  family (a node and its parents), so the search encodes the rows once
+  as integer columns, counts each family with ``np.bincount``, caches
+  its term, and rescores only the child a move touches;
+* **parameters**: Laplace-smoothed CPTs counted from complete rows;
+* **inference**: enumeration over the joint of the variables that are
+  neither queried nor observed; :meth:`DiscreteBayesianNetwork.posteriors`
+  enumerates the evidence marginal once for a batch of queries.
 """
 
 from __future__ import annotations
@@ -163,10 +171,10 @@ class DiscreteBayesianNetwork:
     def log_probability(self, row: Assignment) -> float:
         """Joint log-probability of one complete assignment."""
         total = 0.0
-        for node in self._nodes:
-            parents = self._parents[node]
-            parent_cards = [self._nodes[p].cardinality for p in parents]
-            index = self._parent_index(parents, parent_cards, row)
+        for node, parents in self._parents.items():
+            index = 0
+            for parent in parents:
+                index = index * self._nodes[parent].cardinality + row[parent]
             total += math.log(self.cpt(node)[index, row[node]])
         return total
 
@@ -177,16 +185,34 @@ class DiscreteBayesianNetwork:
         self, query: Mapping[str, int], evidence: Optional[Assignment] = None
     ) -> float:
         """P(query | evidence) by enumeration over hidden variables."""
+        return self.posteriors([query], evidence)[0]
+
+    def posteriors(
+        self,
+        queries: Sequence[Mapping[str, int]],
+        evidence: Optional[Assignment] = None,
+    ) -> List[float]:
+        """P(query | evidence) for every query, in order.
+
+        The denominator, the evidence marginal, is the same for every
+        query and is enumerated once; each numerator is its own
+        marginal, so every value is the division :meth:`posterior`
+        would make for that query alone.
+        """
         evidence = dict(evidence or {})
-        overlap = set(query) & set(evidence)
-        for node in overlap:
-            if query[node] != evidence[node]:
-                return 0.0
-        numerator = self._marginal({**evidence, **query})
         denominator = self._marginal(evidence)
-        if denominator == 0.0:
-            return 0.0
-        return numerator / denominator
+        results: List[float] = []
+        for query in queries:
+            conflict = any(
+                query[node] != evidence[node] for node in set(query) & set(evidence)
+            )
+            if conflict or denominator == 0.0:
+                results.append(0.0)
+            else:
+                results.append(
+                    self._marginal({**evidence, **query}) / denominator
+                )
+        return results
 
     def _marginal(self, partial: Assignment) -> float:
         hidden = [name for name in self._nodes if name not in partial]
@@ -217,17 +243,61 @@ class DiscreteBayesianNetwork:
 
     def bic_score(self, rows: Sequence[Assignment], alpha: float = 1.0) -> float:
         """Bayesian Information Criterion of this structure on ``rows``."""
-        self.fit(rows, alpha=alpha)
-        log_likelihood = sum(self.log_probability(row) for row in rows)
-        parameters = 0
-        for node in self._nodes:
-            parents = self._parents[node]
-            combos = int(
-                np.prod([self._nodes[p].cardinality for p in parents])
-            ) if parents else 1
-            parameters += combos * (self._nodes[node].cardinality - 1)
-        penalty = 0.5 * parameters * math.log(max(2, len(rows)))
-        return log_likelihood - penalty
+        return self._bic(_FamilyScores(self._nodes.values(), rows, alpha))
+
+    def _bic(self, scores: "_FamilyScores") -> float:
+        return sum(
+            scores.term(node, tuple(parents)) for node, parents in self._parents.items()
+        )
+
+
+class _FamilyScores:
+    """BIC terms of families ``(child, parents)`` over one set of rows.
+
+    A family's term is its count-weighted log-likelihood under the
+    Laplace-smoothed CPT :meth:`DiscreteBayesianNetwork.fit` would
+    estimate, minus half its free parameters times log N.  A network's
+    BIC is the sum of its families' terms.  The rows are encoded once
+    as integer columns, a family is counted with one ``np.bincount``,
+    and each term is computed at most once.
+    """
+
+    def __init__(
+        self, nodes: Iterable[NodeSpec], rows: Sequence[Assignment], alpha: float
+    ) -> None:
+        nodes = list(nodes)
+        self._cards = {spec.name: spec.cardinality for spec in nodes}
+        self._columns = {
+            spec.name: np.fromiter(
+                (row[spec.name] for row in rows), dtype=np.intp, count=len(rows)
+            )
+            for spec in nodes
+        }
+        self._alpha = alpha
+        self._log_n = math.log(max(2, len(rows)))
+        self._terms: Dict[Tuple[str, Tuple[str, ...]], float] = {}
+
+    def term(self, child: str, parents: Tuple[str, ...]) -> float:
+        key = (child, parents)
+        if key not in self._terms:
+            self._terms[key] = self._score(child, parents)
+        return self._terms[key]
+
+    def _score(self, child: str, parents: Tuple[str, ...]) -> float:
+        card = self._cards[child]
+        combos = 1
+        index = np.zeros_like(self._columns[child])
+        for parent in parents:
+            index = index * self._cards[parent] + self._columns[parent]
+            combos *= self._cards[parent]
+        counts = np.bincount(
+            index * card + self._columns[child], minlength=combos * card
+        ).reshape(combos, card)
+        smoothed = counts + self._alpha
+        cpt = smoothed / smoothed.sum(axis=1, keepdims=True)
+        seen = counts > 0
+        log_likelihood = float(np.sum(counts[seen] * np.log(cpt[seen])))
+        return log_likelihood - 0.5 * combos * (card - 1) * self._log_n
 
 
 def learn_structure(
@@ -240,13 +310,21 @@ def learn_structure(
 ) -> DiscreteBayesianNetwork:
     """Greedy hill-climbing structure search under the BIC score.
 
+    Each iteration shuffles every candidate edge (``seed``) and takes
+    each move that raises the score by more than 1e-9 as soon as it is
+    scored: an existing edge is tried for removal, a missing one for
+    addition if the child has fewer than ``max_parents`` parents and no
+    cycle forms.  A move rescores only its child's family.  The search
+    stops after an iteration without a move, or ``max_iterations``.
+
     ``forbidden_children`` lists nodes that may not *receive* edges —
     COBAYN's feature nodes are observed evidence, so arcs only point
     from features to flags (and among flags).
     """
     forbidden_children = forbidden_children or set()
     network = DiscreteBayesianNetwork(nodes)
-    best_score = network.bic_score(rows)
+    scores = _FamilyScores(nodes, rows, alpha=1.0)
+    best_score = network._bic(scores)
     names = [spec.name for spec in nodes]
     rng = np.random.default_rng(seed)
 
@@ -262,27 +340,21 @@ def learn_structure(
         for parent, child in candidates:
             if parent in network.parents(child):
                 network.remove_edge(parent, child)
-                score = network.bic_score(rows)
-                if score > best_score + 1e-9:
-                    best_score = score
-                    improved = True
-                else:
+                undo = network.add_edge
+            else:
+                if len(network.parents(child)) >= max_parents:
+                    continue
+                try:
                     network.add_edge(parent, child)
-                    network.fit(rows)
-                continue
-            if len(network.parents(child)) >= max_parents:
-                continue
-            try:
-                network.add_edge(parent, child)
-            except BayesError:
-                continue
-            score = network.bic_score(rows)
+                except BayesError:
+                    continue
+                undo = network.remove_edge
+            score = network._bic(scores)
             if score > best_score + 1e-9:
                 best_score = score
                 improved = True
             else:
-                network.remove_edge(parent, child)
-                network.fit(rows)
+                undo(parent, child)
         if not improved:
             break
     network.fit(rows)

@@ -31,6 +31,7 @@ fast-math configurations from its iterative-compilation sweep.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -347,14 +348,47 @@ class PrunedPoint:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "PrunedPoint":
+    def from_dict(
+        cls, data: Mapping[str, object], what: str = "masked point"
+    ) -> "PrunedPoint":
+        _require_keys(data, ("key", "reason"), what)
         return cls(
             key=str(data["key"]),
             reason=str(data["reason"]),
             dominated_by=str(data.get("dominated_by", "")),
-            predicted_time_s=float(data.get("predicted_time_s", 0.0)),
-            predicted_power_w=float(data.get("predicted_power_w", 0.0)),
+            predicted_time_s=_number(data, "predicted_time_s", float, what, 0.0),
+            predicted_power_w=_number(data, "predicted_power_w", float, what, 0.0),
         )
+
+
+def _require_keys(data: object, keys: Sequence[str], what: str) -> None:
+    """Raise a ValueError naming ``what`` unless ``data`` is a JSON
+    object holding every one of ``keys``."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{what} is not a JSON object (got {type(data).__name__})")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} lacks required key {key!r}")
+
+
+def _number(data: Mapping[str, object], key: str, convert, what: str, default=None):
+    """``convert(data[key])`` (``default`` when absent), or a ValueError
+    naming ``what`` and ``key``."""
+    value = data.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} {key!r} is not a number: {value!r}") from None
+
+
+def _object(data: Mapping[str, object], key: str, what: str) -> Dict[str, object]:
+    """``data[key]`` (``{}`` when absent), which must be a JSON object."""
+    value = data.get(key, {})
+    if not isinstance(value, Mapping):
+        raise ValueError(
+            f"{what} {key!r} is not a JSON object (got {type(value).__name__})"
+        )
+    return dict(value)
 
 
 @dataclass
@@ -413,27 +447,53 @@ class PrunePlan:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "PrunePlan":
+        """Rebuild a plan from :meth:`as_dict`; a malformed document is
+        a ValueError that names the offending part."""
+        what = "prune plan"
+        _require_keys(data, (), what)
         if data.get("format") != 1:
             raise ValueError(
                 f"unsupported prune-plan format {data.get('format')!r}"
             )
+        _require_keys(data, ("app", "kernel", "margin", "trusted", "space_size"), what)
+        validation = _object(data, "validation", what)
+        masked = data.get("masked", [])
+        if not isinstance(masked, list):
+            raise ValueError(
+                f"{what} 'masked' is not a list (got {type(masked).__name__})"
+            )
         plan = cls(
             app=str(data["app"]),
             kernel=str(data["kernel"]),
-            margin=float(data["margin"]),
+            margin=_number(data, "margin", float, what),
             trusted=bool(data["trusted"]),
-            space_size=int(data["space_size"]),
+            space_size=_number(data, "space_size", int, what),
             validation={
-                str(name): float(value)
-                for name, value in dict(data.get("validation", {})).items()
+                str(name): _number(validation, name, float, f"{what} validation")
+                for name in validation
             },
             flag_safety=FlagSafetyVerdict.from_dict(
-                dict(data.get("flag_safety", {}))
+                _object(data, "flag_safety", what)
             ),
         )
-        for entry in data.get("masked", []):  # type: ignore[union-attr]
-            plan.record(PrunedPoint.from_dict(entry))
+        for index, entry in enumerate(masked):
+            plan.record(PrunedPoint.from_dict(entry, what=f"{what} masked[{index}]"))
         return plan
+
+    @classmethod
+    def load(cls, path) -> "PrunePlan":
+        """Read a plan file written by ``socrates check --prune-plan``;
+        every defect is a ValueError that starts with ``path``."""
+        with open(path) as handle:
+            text = handle.read()
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as error:
+            raise ValueError(f"{path}: not valid JSON ({error})") from None
+        try:
+            return cls.from_dict(data)
+        except ValueError as error:
+            raise ValueError(f"{path}: {error}") from None
 
 
 def _margin_dominated(

@@ -683,8 +683,7 @@ def cmd_dse(args: argparse.Namespace) -> int:
     if getattr(args, "prune_plan", None):
         from repro.analysis.cost import PrunePlan
 
-        with open(args.prune_plan) as handle:
-            plan = PrunePlan.from_dict(json.load(handle))
+        plan = PrunePlan.load(args.prune_plan)
         if plan.app != app.name:
             raise ValueError(f"prune plan is for {plan.app!r}, not {app.name!r}")
     elif args.prune:

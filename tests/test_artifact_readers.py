@@ -218,7 +218,16 @@ def _consumer(kind, path):
         trace = path.with_name("consumer_trace.json")
         write_chrome_trace(native_spans(), trace)
         return ["obs", "flame", "--trace", str(trace), "--against-baseline", str(path)]
+    if kind == "plan":
+        return ["dse", "2mm", "--prune-plan", str(path)]
     return None  # the ledger, the events stream: obs validate only
+
+
+def _validator(kind, path):
+    """argv of ``obs validate`` on an artifact kind, or None."""
+    if kind == "plan":
+        return None  # a prune plan is read by ``socrates dse`` only
+    return ["obs", "validate", str(path)]
 
 
 def _prom_with_buckets(first, second):
@@ -270,6 +279,18 @@ def _profile_json():
 
 def _ledger(**fields):
     return json.dumps(dict(ledger_document(), **fields), indent=2, sort_keys=True)
+
+
+def _plan_document(**fields):
+    from repro.analysis.cost import PrunePlan
+
+    plan = PrunePlan(app="2mm", kernel="kernel_2mm", margin=0.1, trusted=True, space_size=4)
+    document = dict(plan.as_dict(), **fields)
+    return {key: value for key, value in document.items() if value is not None}
+
+
+def _plan(**fields):
+    return json.dumps(_plan_document(**fields))
 
 #: (case id, artifact kind, file name, file text, expected error fragment)
 MALFORMED = [
@@ -369,6 +390,16 @@ MALFORMED = [
         _ledger(schema="socrates-energy/9"),
         "unexpected ledger schema 'socrates-energy/9'",
     ),
+    # prune plans: ``dse --prune-plan`` crashed on the first two and
+    # named only the missing key on the last two
+    ("plan-list", "plan", "plan.json", json.dumps([_plan_document()]), "not a JSON object (got list)"),
+    ("plan-masked-number", "plan", "plan.json", _plan(masked=3), "'masked' is not a list (got int)"),
+    ("plan-no-app", "plan", "plan.json", _plan(app=None), "prune plan lacks required key 'app'"),
+    (
+        "plan-entry-no-key", "plan", "plan.json",
+        _plan(masked=[{"reason": "margin-dominated"}]),
+        "masked[0] lacks required key 'key'",
+    ),
 ]
 
 
@@ -383,7 +414,7 @@ class TestReaderAgreement:
         directory.mkdir()
         path = directory / name
         path.write_text(text)
-        commands = [["obs", "validate", str(path)], _consumer(kind, path)]
+        commands = [_validator(kind, path), _consumer(kind, path)]
         for argv in filter(None, commands):
             assert main(argv) == 2, argv
             err = capsys.readouterr().err

@@ -381,6 +381,14 @@ def _number(data: Mapping[str, object], key: str, convert, what: str, default=No
         raise ValueError(f"{what} {key!r} is not a number: {value!r}") from None
 
 
+def _list(data: Mapping[str, object], key: str, what: str) -> list:
+    """``data[key]`` (``[]`` when absent), which must be a JSON list."""
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise ValueError(f"{what} {key!r} is not a list (got {type(value).__name__})")
+    return value
+
+
 def _object(data: Mapping[str, object], key: str, what: str) -> Dict[str, object]:
     """``data[key]`` (``{}`` when absent), which must be a JSON object."""
     value = data.get(key, {})
@@ -457,11 +465,10 @@ class PrunePlan:
             )
         _require_keys(data, ("app", "kernel", "margin", "trusted", "space_size"), what)
         validation = _object(data, "validation", what)
-        masked = data.get("masked", [])
-        if not isinstance(masked, list):
-            raise ValueError(
-                f"{what} 'masked' is not a list (got {type(masked).__name__})"
-            )
+        flag_safety = _object(data, "flag_safety", what)
+        for key in ("unsafe_flags", "pointless_flags", "rules"):
+            _list(flag_safety, key, f"{what} flag_safety")
+        masked = _list(data, "masked", what)
         plan = cls(
             app=str(data["app"]),
             kernel=str(data["kernel"]),
@@ -472,9 +479,7 @@ class PrunePlan:
                 str(name): _number(validation, name, float, f"{what} validation")
                 for name in validation
             },
-            flag_safety=FlagSafetyVerdict.from_dict(
-                _object(data, "flag_safety", what)
-            ),
+            flag_safety=FlagSafetyVerdict.from_dict(flag_safety),
         )
         for index, entry in enumerate(masked):
             plan.record(PrunedPoint.from_dict(entry, what=f"{what} masked[{index}]"))
@@ -484,8 +489,11 @@ class PrunePlan:
     def load(cls, path) -> "PrunePlan":
         """Read a plan file written by ``socrates check --prune-plan``;
         every defect is a ValueError that starts with ``path``."""
-        with open(path) as handle:
-            text = handle.read()
+        try:
+            with open(path) as handle:
+                text = handle.read()
+        except OSError as error:
+            raise ValueError(f"{path}: cannot read prune plan ({error})") from None
         try:
             data = json.loads(text)
         except json.JSONDecodeError as error:

@@ -390,8 +390,8 @@ MALFORMED = [
         _ledger(schema="socrates-energy/9"),
         "unexpected ledger schema 'socrates-energy/9'",
     ),
-    # prune plans: ``dse --prune-plan`` crashed on the first two and
-    # named only the missing key on the last two
+    # prune plans: ``dse --prune-plan`` crashed on a list, a numeric
+    # masked or unsafe_flags, and named only the key it missed
     ("plan-list", "plan", "plan.json", json.dumps([_plan_document()]), "not a JSON object (got list)"),
     ("plan-masked-number", "plan", "plan.json", _plan(masked=3), "'masked' is not a list (got int)"),
     ("plan-no-app", "plan", "plan.json", _plan(app=None), "prune plan lacks required key 'app'"),
@@ -400,6 +400,12 @@ MALFORMED = [
         _plan(masked=[{"reason": "margin-dominated"}]),
         "masked[0] lacks required key 'key'",
     ),
+    (
+        "plan-unsafe-flags-number", "plan", "plan.json",
+        _plan(flag_safety={"unsafe_flags": 5}),
+        "flag_safety 'unsafe_flags' is not a list (got int)",
+    ),
+    ("plan-truncated", "plan", "plan.json", _plan()[:40], "not valid JSON"),
 ]
 
 

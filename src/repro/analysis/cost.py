@@ -381,22 +381,15 @@ def _number(data: Mapping[str, object], key: str, convert, what: str, default=No
         raise ValueError(f"{what} {key!r} is not a number: {value!r}") from None
 
 
-def _list(data: Mapping[str, object], key: str, what: str) -> list:
-    """``data[key]`` (``[]`` when absent), which must be a JSON list."""
-    value = data.get(key, [])
-    if not isinstance(value, list):
-        raise ValueError(f"{what} {key!r} is not a list (got {type(value).__name__})")
+def _member(data: Mapping[str, object], key: str, kind: type, what: str):
+    """``data[key]`` (an empty ``kind`` when absent), or a ValueError
+    naming ``what`` and ``key`` unless it is a ``kind``: ``dict`` for a
+    JSON object or ``list``."""
+    value = data.get(key, kind())
+    if not isinstance(value, kind):
+        noun = "JSON object" if kind is dict else "list"
+        raise ValueError(f"{what} {key!r} is not a {noun} (got {type(value).__name__})")
     return value
-
-
-def _object(data: Mapping[str, object], key: str, what: str) -> Dict[str, object]:
-    """``data[key]`` (``{}`` when absent), which must be a JSON object."""
-    value = data.get(key, {})
-    if not isinstance(value, Mapping):
-        raise ValueError(
-            f"{what} {key!r} is not a JSON object (got {type(value).__name__})"
-        )
-    return dict(value)
 
 
 @dataclass
@@ -464,11 +457,11 @@ class PrunePlan:
                 f"unsupported prune-plan format {data.get('format')!r}"
             )
         _require_keys(data, ("app", "kernel", "margin", "trusted", "space_size"), what)
-        validation = _object(data, "validation", what)
-        flag_safety = _object(data, "flag_safety", what)
+        validation = _member(data, "validation", dict, what)
+        flag_safety = _member(data, "flag_safety", dict, what)
         for key in ("unsafe_flags", "pointless_flags", "rules"):
-            _list(flag_safety, key, f"{what} flag_safety")
-        masked = _list(data, "masked", what)
+            _member(flag_safety, key, list, f"{what} flag_safety")
+        masked = _member(data, "masked", list, what)
         plan = cls(
             app=str(data["app"]),
             kernel=str(data["kernel"]),

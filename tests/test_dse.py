@@ -1,23 +1,32 @@
 """Tests for design-space exploration and Pareto filtering."""
 
+import hashlib
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dse.explorer import (
     DesignPoint,
     DesignSpace,
     DesignSpaceExplorer,
 )
-from repro.dse.pareto import pareto_filter, pareto_front
+from repro.dse.pareto import _objective_vector, canonical_front, pareto_filter, pareto_front
 from repro.dse.strategies import (
     FullFactorialStrategy,
     LatinHypercubeStrategy,
     RandomStrategy,
 )
+from repro.engine.core import EvaluationEngine
 from repro.gcc.flags import FlagConfiguration, OptLevel, standard_levels
+from repro.machine.executor import MachineExecutor
 from repro.machine.openmp import BindingPolicy
+from repro.machine.registry import resolve_machine
 from repro.margot.knowledge import KnowledgeBase, MetricStats, OperatingPoint
-from repro.polybench.suite import load
+from repro.polybench.suite import BENCHMARK_NAMES, load
 from repro.polybench.workload import profile_kernel
 
 
@@ -222,3 +231,123 @@ class TestPareto:
                 assert not (
                     not_worse_thr and not_worse_pow and (better_thr or better_pow)
                 )
+
+
+def _reference_dominates(lhs, rhs):
+    """The original dominance test: >= everywhere and > somewhere."""
+    at_least_as_good = all(l >= r for l, r in zip(lhs, rhs))
+    strictly_better = any(l > r for l, r in zip(lhs, rhs))
+    return at_least_as_good and strictly_better
+
+
+def reference_pareto_filter(points, objectives):
+    """The original all-pairs filter: a point is kept unless some other
+    point dominates it; kept points stay in input order."""
+    candidates = list(points)
+    vectors = [_objective_vector(point, objectives) for point in candidates]
+    return [
+        candidates[index]
+        for index, vector in enumerate(vectors)
+        if not any(
+            _reference_dominates(other, vector)
+            for other_index, other in enumerate(vectors)
+            if other_index != index
+        )
+    ]
+
+
+#: A small value grid, so that draws tie, repeat whole vectors, mix the
+#: two zeros and carry NaN.
+_GRID = st.sampled_from([-1.5, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, math.nan])
+
+_METRICS = ("a", "b", "c")
+
+
+@st.composite
+def _front_cases(draw):
+    width = draw(st.integers(min_value=1, max_value=3))
+    objectives = [
+        (metric, draw(st.booleans())) for metric in _METRICS[:width]
+    ]
+    rows = draw(
+        st.lists(st.tuples(*[_GRID] * width), min_size=0, max_size=40)
+    )
+    points = [
+        OperatingPoint(
+            knobs={"id": index},
+            metrics={metric: MetricStats(value) for metric, value in zip(_METRICS, row)},
+        )
+        for index, row in enumerate(rows)
+    ]
+    return points, objectives
+
+
+class TestParetoMatchesReference:
+    """The front is the all-pairs filter's front: the same points, in
+    the same (input) order."""
+
+    @given(_front_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_same_points_in_the_same_order(self, case):
+        points, objectives = case
+        expected = [p.knobs["id"] for p in reference_pareto_filter(points, objectives)]
+        assert [p.knobs["id"] for p in pareto_filter(points, objectives)] == expected
+
+    def test_nan_point_is_kept_and_dominates_nothing(self):
+        points = [
+            simple_op(1, time=1.0, power=math.nan),
+            simple_op(2, time=2.0, power=50.0),
+            simple_op(3, time=3.0, power=60.0),
+        ]
+        objectives = [("time", False), ("power", False)]
+        front = pareto_filter(points, objectives)
+        assert [p.knob("threads") for p in front] == [1, 2]
+        assert front == reference_pareto_filter(points, objectives)
+
+
+#: Digest of each app's unpruned front on the paper-size lattice (all
+#: standard levels x threads 1..32 x both bindings, 5 repetitions, seed
+#: 20682) under (throughput max, power min): (front size, sha256 of its
+#: canonical JSON, first 16 hex digits).
+PAPER_FRONTS = {
+    "2mm": (78, "9faae1a1e89c47cd"),
+    "3mm": (42, "306959fcff36b60a"),
+    "atax": (75, "6929462cf9510856"),
+    "correlation": (79, "f291da5e9e5ef4b8"),
+    "doitgen": (61, "cef2c1e80025a3f5"),
+    "gemver": (56, "602a103aff5d18c9"),
+    "jacobi-2d": (37, "86fdd6e4dbf7bec6"),
+    "mvt": (70, "bbeb4135b147dbda"),
+    "nussinov": (62, "3cc96247eb748edb"),
+    "seidel-2d": (53, "8e8ba2c742c8e542"),
+    "syr2k": (36, "dfc2df262631c4c4"),
+    "syrk": (37, "f5d22286fe737c5d"),
+}
+
+
+def _paper_size_knowledge(app_name):
+    """The unpruned 256-point knowledge base of one app, from a fresh
+    seeded engine (the noise stream is positional)."""
+    engine = EvaluationEngine(
+        executor=MachineExecutor(resolve_machine(None), seed=20682)
+    )
+    space = DesignSpace(
+        compiler_configs=standard_levels(), thread_counts=list(range(1, 33))
+    )
+    explorer = DesignSpaceExplorer(
+        engine.compiler, engine.executor, engine.omp, repetitions=5, engine=engine
+    )
+    app = load(app_name)
+    return explorer.explore(engine.profile(app), space).knowledge
+
+
+@pytest.mark.parametrize("app_name", BENCHMARK_NAMES)
+def test_paper_size_front_matches_reference_and_pin(app_name):
+    objectives = [("throughput", True), ("power", False)]
+    knowledge = _paper_size_knowledge(app_name)
+    assert len(knowledge) == 256
+    front = pareto_front(knowledge, objectives).points()
+    assert front == reference_pareto_filter(knowledge, objectives)
+    document = json.dumps(canonical_front(front), sort_keys=True).encode()
+    digest = hashlib.sha256(document).hexdigest()[:16]
+    assert (len(front), digest) == PAPER_FRONTS[app_name]

@@ -7,7 +7,8 @@ compute that front from a knowledge base.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Mapping, Sequence, Tuple
+import operator
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.margot.knowledge import KnowledgeBase, OperatingPoint
 
@@ -27,28 +28,41 @@ def _objective_vector(
 
 
 def _dominates(lhs: Tuple[float, ...], rhs: Tuple[float, ...]) -> bool:
-    """lhs dominates rhs: >= everywhere and > somewhere."""
-    at_least_as_good = all(l >= r for l, r in zip(lhs, rhs))
-    strictly_better = any(l > r for l, r in zip(lhs, rhs))
-    return at_least_as_good and strictly_better
+    """lhs dominates rhs: >= everywhere and > somewhere.  Given >=
+    everywhere, > somewhere is the same as the vectors differing; NaN
+    compares false both ways, so it fails the first test."""
+    return lhs != rhs and all(map(operator.ge, lhs, rhs))
 
 
 def pareto_filter(
     points: Iterable[OperatingPoint], objectives: Sequence[Objective]
 ) -> List[OperatingPoint]:
-    """The non-dominated subset of ``points`` under ``objectives``."""
+    """The non-dominated subset of ``points`` under ``objectives``, in
+    input order.
+
+    Sort-filter-skyline: in descending lexicographic order a dominator
+    comes before every point it dominates, and dominance is transitive,
+    so a point is dominated iff a front member found before it
+    dominates it.  A vector with NaN neither dominates nor is dominated,
+    and would break the sort, so it is kept without being sorted.
+    """
     candidates = list(points)
     vectors = [_objective_vector(point, objectives) for point in candidates]
-    front: List[OperatingPoint] = []
+    keep = [False] * len(candidates)
+    order = []
     for index, vector in enumerate(vectors):
-        dominated = any(
-            _dominates(other, vector)
-            for other_index, other in enumerate(vectors)
-            if other_index != index
-        )
-        if not dominated:
-            front.append(candidates[index])
-    return front
+        if any(value != value for value in vector):
+            keep[index] = True
+        else:
+            order.append(index)
+    order.sort(key=vectors.__getitem__, reverse=True)
+    front: List[Tuple[float, ...]] = []
+    for index in order:
+        vector = vectors[index]
+        if not any(_dominates(member, vector) for member in front):
+            front.append(vector)
+            keep[index] = True
+    return [point for point, kept in zip(candidates, keep) if kept]
 
 
 def pareto_front(

@@ -147,16 +147,21 @@ def load_config(source: Union[str, Path, Mapping]) -> MargotConfiguration:
     """Parse and validate a configuration document.
 
     ``source`` may be a mapping, a JSON string, or a path to a JSON
-    file.
+    file.  A :class:`~pathlib.Path`, or a string that does not start
+    with ``{``, is a path, and a missing file is named as such.
     """
     if isinstance(source, Mapping):
         document = source
     else:
-        try:
-            is_file = Path(str(source)).exists()
-        except OSError:
-            is_file = False  # raw JSON text longer than a valid path
-        text = Path(source).read_text() if is_file else str(source)
+        if isinstance(source, str) and source.lstrip().startswith("{"):
+            text = source
+        else:
+            try:
+                text = Path(source).read_text()
+            except OSError as error:
+                raise ConfigError(
+                    f"{source}: cannot read configuration ({error.strerror or error})"
+                ) from None
         try:
             document = json.loads(text)
         except json.JSONDecodeError as error:

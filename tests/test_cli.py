@@ -242,6 +242,14 @@ class TestCommands:
         assert header.startswith("timestamp,state,compiler")
 
 
+    def test_trace_names_a_missing_config(self, tmp_path, capsys):
+        missing = tmp_path / "nonexist.json"
+        assert main(["trace", str(missing)] + FAST) == 2
+        captured = capsys.readouterr()
+        assert f"error: {missing}: cannot read configuration" in captured.err
+        assert "invalid JSON" not in captured.err
+
+
 class TestMargotHeaderCommand:
     def test_margot_header_to_file(self, tmp_path, capsys):
         config = {

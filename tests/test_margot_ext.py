@@ -93,6 +93,16 @@ class TestConfig:
         config = load_config(path)
         assert config.state_names() == ["efficiency", "budget"]
 
+    @pytest.mark.parametrize("as_path", [True, False])
+    def test_missing_file_is_named(self, tmp_path, as_path):
+        path = tmp_path / "nonexist.json"
+        with pytest.raises(ConfigError, match="nonexist.json: cannot read configuration"):
+            load_config(path if as_path else str(path))
+
+    def test_inline_json_with_leading_whitespace(self):
+        config = load_config("\n  " + json.dumps(BASIC_CONFIG))
+        assert config.kernel == "2mm"
+
     def test_rank_parsed(self):
         config = load_config(BASIC_CONFIG)
         rank = config.states[0].rank

@@ -298,7 +298,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     tuner = CobaynAutotuner()
     tuner.train(corpus)
     features = extract_features(app.parse(), app.kernels[0])
-    prediction = tuner.predict(features, k=args.k)
+    prediction = tuner.predict(features)
     print(f"COBAYN predictions for {app.name} (trained on the other {len(training)}):")
     for index, (config, posterior) in enumerate(prediction.ranked[: args.k], start=1):
         print(f"  CF{index}: p={posterior:.4f}  {config.label}")

@@ -12,10 +12,10 @@ SOCRATES autotuning space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.cobayn.bn import DiscreteBayesianNetwork, NodeSpec, learn_structure
-from repro.cobayn.corpus import TrainingCorpus, assignment_to_config, flag_assignment
+from repro.cobayn.corpus import TrainingCorpus, flag_assignment
 from repro.cobayn.discretize import Discretizer
 from repro.gcc.flags import ALL_FLAGS, FlagConfiguration, cobayn_space
 from repro.milepost.features import FeatureVector
@@ -83,7 +83,7 @@ class CobaynAutotuner:
         self._discretizer = discretizer
         self._network = network
 
-    def predict(self, features: FeatureVector, k: int = 4) -> CobaynPrediction:
+    def predict(self, features: FeatureVector) -> CobaynPrediction:
         """Rank the 128 combinations by posterior given ``features``.
 
         ``ranked`` holds the whole 128-point space, most probable first
@@ -102,4 +102,4 @@ class CobaynAutotuner:
 
     def predict_top(self, features: FeatureVector, k: int = 4) -> List[FlagConfiguration]:
         """Convenience: just the top-``k`` configurations."""
-        return self.predict(features, k).top(k)
+        return self.predict(features).top(k)

@@ -278,13 +278,13 @@ class TestAutotuner:
 
     def test_prediction_probabilities_descend(self, trained, two_mm):
         features = extract_features(two_mm.parse(), "kernel_2mm")
-        prediction = trained.predict(features, 4)
+        prediction = trained.predict(features)
         probabilities = [p for _, p in prediction.ranked]
         assert probabilities == sorted(probabilities, reverse=True)
 
     def test_posteriors_normalize_over_space(self, trained, two_mm):
         features = extract_features(two_mm.parse(), "kernel_2mm")
-        prediction = trained.predict(features, 128)
+        prediction = trained.predict(features)
         assert sum(p for _, p in prediction.ranked) == pytest.approx(1.0, abs=1e-6)
 
     def test_leave_one_out_prunes_well(self, apps, compiler, executor, omp):

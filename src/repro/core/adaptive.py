@@ -115,6 +115,21 @@ class InvocationRecord:
     def throughput(self) -> float:
         return 1.0 / self.time_s
 
+    def as_dict(self) -> Dict[str, object]:
+        """The fields in order, flat: what ``dataclasses.asdict`` gives
+        without its per-field deep copy."""
+        return {
+            "timestamp": self.timestamp,
+            "state": self.state,
+            "compiler": self.compiler,
+            "threads": self.threads,
+            "binding": self.binding,
+            "time_s": self.time_s,
+            "power_w": self.power_w,
+            "energy_j": self.energy_j,
+            "cluster": self.cluster,
+        }
+
 
 class AdaptiveApplication:
     """The simulated adaptive binary for one kernel."""

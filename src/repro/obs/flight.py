@@ -24,7 +24,6 @@ every time it is repeated.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from collections import deque
@@ -142,8 +141,6 @@ class StreamEvent:
             as_dict = getattr(payload, "as_dict", None)
             if callable(as_dict):
                 document["payload"] = as_dict()
-            elif dataclasses.is_dataclass(payload):
-                document["payload"] = dataclasses.asdict(payload)
             else:
                 document["payload"] = payload
         return document

@@ -255,6 +255,18 @@ class TestFlightRecorder:
         assert events[0].value == 0.25
         assert isinstance(events[0], StreamEvent)
 
+    def test_invocation_record_payload_is_its_fields_in_order(self):
+        from repro.core.adaptive import InvocationRecord
+
+        record = InvocationRecord(
+            timestamp=1.5, state="Throughput", compiler="-O3", threads=4,
+            binding="close", time_s=0.25, power_w=40.0, energy_j=10.0,
+            cluster="xeon",
+        )
+        event = StreamEvent(ENERGY, 1.5, "power.package", 40.0, payload=record)
+        payload = event.as_dict()["payload"]
+        assert list(payload.items()) == list(dataclasses.asdict(record).items())
+
     def test_snapshot_covers_every_kind(self):
         flight = FlightRecorder(capacity=4)
         window = flight.snapshot()

@@ -7,6 +7,7 @@ compute that front from a knowledge base.
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import Iterable, List, Sequence, Tuple
 
@@ -51,7 +52,7 @@ def pareto_filter(
     keep = [False] * len(candidates)
     order = []
     for index, vector in enumerate(vectors):
-        if any(value != value for value in vector):
+        if any(map(math.isnan, vector)):
             keep[index] = True
         else:
             order.append(index)

@@ -14,7 +14,12 @@ from repro.dse.explorer import (
     DesignSpace,
     DesignSpaceExplorer,
 )
-from repro.dse.pareto import _objective_vector, canonical_front, pareto_filter, pareto_front
+from repro.dse.pareto import (
+    _objective_vector,
+    canonical_front,
+    pareto_filter,
+    pareto_front,
+)
 from repro.dse.strategies import (
     FullFactorialStrategy,
     LatinHypercubeStrategy,
@@ -292,17 +297,6 @@ class TestParetoMatchesReference:
         points, objectives = case
         expected = [p.knobs["id"] for p in reference_pareto_filter(points, objectives)]
         assert [p.knobs["id"] for p in pareto_filter(points, objectives)] == expected
-
-    def test_nan_point_is_kept_and_dominates_nothing(self):
-        points = [
-            simple_op(1, time=1.0, power=math.nan),
-            simple_op(2, time=2.0, power=50.0),
-            simple_op(3, time=3.0, power=60.0),
-        ]
-        objectives = [("time", False), ("power", False)]
-        front = pareto_filter(points, objectives)
-        assert [p.knob("threads") for p in front] == [1, 2]
-        assert front == reference_pareto_filter(points, objectives)
 
 
 #: Digest of each app's unpruned front on the paper-size lattice (all

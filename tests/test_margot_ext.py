@@ -84,8 +84,9 @@ class TestConfig:
         assert config.active_state == "efficiency"
 
     def test_load_from_json_string(self):
-        config = load_config(json.dumps(BASIC_CONFIG))
-        assert config.kernel == "2mm"
+        for prefix in ("", "\n  "):
+            config = load_config(prefix + json.dumps(BASIC_CONFIG))
+            assert config.kernel == "2mm"
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "margot.json"
@@ -98,10 +99,6 @@ class TestConfig:
         path = tmp_path / "nonexist.json"
         with pytest.raises(ConfigError, match="nonexist.json: cannot read configuration"):
             load_config(path if as_path else str(path))
-
-    def test_inline_json_with_leading_whitespace(self):
-        config = load_config("\n  " + json.dumps(BASIC_CONFIG))
-        assert config.kernel == "2mm"
 
     def test_rank_parsed(self):
         config = load_config(BASIC_CONFIG)

@@ -1,5 +1,7 @@
 """Unit tests for the generic AST traversal utilities."""
 
+import pytest
+
 from repro.cir import (
     Assign,
     BinOp,
@@ -14,6 +16,7 @@ from repro.cir import (
     walk,
 )
 from repro.cir.visitor import iter_child_nodes
+from repro.polybench.suite import BENCHMARK_NAMES, load
 
 SOURCE = """
 void f(int n) {
@@ -117,3 +120,68 @@ class TestNodeTransformer:
         clone = func.clone()
         clone.body.stmts[0].expr.rhs = IntLit(text="2")
         assert "x = 1;" in to_source(unit)
+
+
+def _reference_children(node):
+    """Child discovery as specified: dataclass field order, then list
+    order, skipping ``None`` and non-node values."""
+    import dataclasses
+
+    from repro.cir.ast import Node
+
+    for field in dataclasses.fields(node):
+        value = getattr(node, field.name)
+        if isinstance(value, Node):
+            yield value
+        elif isinstance(value, list):
+            for item in value:
+                if isinstance(item, Node):
+                    yield item
+
+
+def _reference_walk(node):
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        yield current
+        stack.extend(reversed(list(_reference_children(current))))
+
+
+def _owned_containers(unit):
+    """Every node and every list object reachable from ``unit``."""
+    owned = {}
+    for node in _reference_walk(unit):
+        owned[id(node)] = node
+        for value in vars(node).values():
+            if isinstance(value, list):
+                owned[id(value)] = value
+    return owned
+
+
+class TestSuitePins:
+    """Traversal order and cloning over the twelve benchmark sources."""
+
+    @pytest.fixture(scope="class", params=BENCHMARK_NAMES)
+    def suite_unit(self, request):
+        return load(request.param).parse()
+
+    def test_walk_matches_the_fields_reference(self, suite_unit):
+        expected = [id(node) for node in _reference_walk(suite_unit)]
+        assert [id(node) for node in walk(suite_unit)] == expected
+        for node in _reference_walk(suite_unit):
+            assert [id(c) for c in iter_child_nodes(node)] == [
+                id(c) for c in _reference_children(node)
+            ]
+
+    def test_clone_prints_like_deepcopy_and_shares_nothing(self, suite_unit):
+        import copy
+
+        clone = suite_unit.clone()
+        assert to_source(clone) == to_source(copy.deepcopy(suite_unit))
+        assert to_source(clone) == to_source(suite_unit)
+        original = _owned_containers(suite_unit)
+        copied = _owned_containers(clone)
+        assert len(copied) == len(original)
+        assert not set(original) & set(copied)
+        for function in suite_unit.functions():
+            assert to_source(function.clone()) == to_source(copy.deepcopy(function))

@@ -1,8 +1,10 @@
 """Tests for design-space exploration and Pareto filtering."""
 
+import functools
 import hashlib
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,9 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dse.explorer import (
+    KNOB_COMPILER,
+    KNOB_THREADS,
     DesignPoint,
     DesignSpace,
     DesignSpaceExplorer,
+    ProfiledSample,
 )
 from repro.dse.pareto import (
     _objective_vector,
@@ -31,6 +36,7 @@ from repro.machine.executor import MachineExecutor
 from repro.machine.openmp import BindingPolicy
 from repro.machine.registry import resolve_machine
 from repro.margot.knowledge import KnowledgeBase, MetricStats, OperatingPoint
+from repro.obs import NULL_OBS
 from repro.polybench.suite import BENCHMARK_NAMES, load
 from repro.polybench.workload import profile_kernel
 
@@ -319,8 +325,9 @@ PAPER_FRONTS = {
 }
 
 
-def _paper_size_knowledge(app_name):
-    """The unpruned 256-point knowledge base of one app, from a fresh
+@functools.lru_cache(maxsize=None)
+def _paper_size_exploration(app_name):
+    """The unpruned 256-point exploration of one app, from a fresh
     seeded engine (the noise stream is positional)."""
     engine = EvaluationEngine(
         executor=MachineExecutor(resolve_machine(None), seed=20682)
@@ -332,7 +339,11 @@ def _paper_size_knowledge(app_name):
         engine.compiler, engine.executor, engine.omp, repetitions=5, engine=engine
     )
     app = load(app_name)
-    return explorer.explore(engine.profile(app), space).knowledge
+    return explorer.explore(engine.profile(app), space)
+
+
+def _paper_size_knowledge(app_name):
+    return _paper_size_exploration(app_name).knowledge
 
 
 @pytest.mark.parametrize("app_name", BENCHMARK_NAMES)
@@ -345,3 +356,97 @@ def test_paper_size_front_matches_reference_and_pin(app_name):
     document = json.dumps(canonical_front(front), sort_keys=True).encode()
     digest = hashlib.sha256(document).hexdigest()[:16]
     assert (len(front), digest) == PAPER_FRONTS[app_name]
+
+
+def _reference_metric_bits(sample):
+    """Per-sample knowledge-base statistics as the explorer first
+    computed them, one sample at a time: ``(mean.hex(), std.hex())``
+    per metric."""
+    times = np.asarray(sample.times)
+    powers = np.asarray(sample.powers)
+
+    def stats(values):
+        std = float(values.std(ddof=1)) if len(values) > 1 else 0.0
+        return float(values.mean()).hex(), std.hex()
+
+    return {
+        "time": stats(times),
+        "throughput": stats(1.0 / times),
+        "power": stats(powers),
+        "energy": stats(times * powers),
+    }
+
+
+def _assert_knowledge_matches_samples(result):
+    points = result.knowledge.points()
+    assert len(points) == len(result.samples)
+    for point, sample in zip(points, result.samples):
+        assert point.knobs[KNOB_COMPILER] == sample.point.compiler.label
+        assert point.knobs[KNOB_THREADS] == sample.point.threads
+        bits = {
+            name: (stats.mean.hex(), stats.std.hex())
+            for name, stats in point.metrics.items()
+        }
+        assert bits == _reference_metric_bits(sample)
+
+
+@pytest.mark.parametrize("app_name", BENCHMARK_NAMES)
+def test_paper_size_stats_match_per_sample_reference(app_name):
+    _assert_knowledge_matches_samples(_paper_size_exploration(app_name))
+
+
+class _CannedEngine:
+    """An engine stand-in that returns fixed measurements, so the
+    explorer's statistics can be checked on arbitrary values."""
+
+    compiler = executor = omp = None
+    obs = NULL_OBS
+
+    def __init__(self, rows):
+        self._rows = rows
+
+    def evaluate(self, profile, points, repetitions=1, mask=None):
+        assert len(points) == len(self._rows)
+        return [
+            ProfiledSample(point=point, times=list(times), powers=list(powers))
+            for point, (times, powers) in zip(points, self._rows)
+        ]
+
+
+#: Positive values with exact ties and neighbouring doubles.
+_MEASURE = st.one_of(
+    st.sampled_from([1e-9, 0.25, 1.0, 1.0000000000000002, 3.7, 3.7, 512.0]),
+    st.floats(min_value=1e-6, max_value=1e3, allow_nan=False),
+)
+
+
+@st.composite
+def _sample_rows(draw):
+    repetitions = draw(st.integers(min_value=1, max_value=9))
+    row = st.tuples(
+        st.lists(_MEASURE, min_size=repetitions, max_size=repetitions),
+        st.lists(_MEASURE, min_size=repetitions, max_size=repetitions),
+    )
+    rows = draw(st.lists(row, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        rows.append(rows[0])  # an equal row
+    if draw(st.booleans()):
+        rows.append(([rows[0][0][0]] * repetitions, [rows[0][1][0]] * repetitions))
+    return repetitions, rows
+
+
+class TestColumnStatsMatchReference:
+    @given(_sample_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_knowledge_stats_equal_per_sample_stats(self, case):
+        repetitions, rows = case
+        explorer = DesignSpaceExplorer(
+            None, None, None, repetitions=repetitions, engine=_CannedEngine(rows)
+        )
+        space = DesignSpace(
+            compiler_configs=standard_levels()[:1],
+            thread_counts=list(range(1, len(rows) + 1)),
+            bindings=(BindingPolicy.CLOSE,),
+        )
+        result = explorer.explore(SimpleNamespace(kernel="canned"), space)
+        _assert_knowledge_matches_samples(result)

@@ -340,3 +340,55 @@ class TestEngineExports:
         report = stage_report([])
         assert report["stages"] == []
         assert report["totals"]["points_evaluated"] == 0
+
+
+def _scalar_pairs(rng, count, time_sigma=0.02, power_sigma=0.012):
+    """The reference noise stream: one scalar (time, power) lognormal
+    pair per measurement, in order."""
+    return [
+        (float(rng.lognormal(0.0, time_sigma)), float(rng.lognormal(0.0, power_sigma)))
+        for _ in range(count)
+    ]
+
+
+class TestNoisePins:
+    """Measurement noise is the scalar pair stream, however it is drawn."""
+
+    @pytest.mark.parametrize("count", [1, 2, 5, 1000])
+    def test_bulk_factors_equal_scalar_pairs(self, count):
+        import numpy as np
+
+        executor = MachineExecutor(default_machine(), seed=20682)
+        reference = np.random.default_rng(20682)
+        factors = np.asarray(executor.noise_factors(count), dtype=float)
+        expected = np.asarray(_scalar_pairs(reference, count), dtype=float)
+        assert factors.shape == (count, 2)
+        assert factors.tobytes() == expected.tobytes()
+        # the stream continues where the scalar loop would
+        assert np.asarray(executor.noise_factors(1)).tobytes() == (
+            np.asarray(_scalar_pairs(reference, 1)).tobytes()
+        )
+
+    def test_evaluate_scales_truths_by_the_scalar_stream(self, two_mm):
+        import numpy as np
+
+        engine = make_engine(seed=20682)
+        profile = engine.profile(two_mm)
+        points = small_space(threads=(1, 3, 8)).points()
+        mask = [index % 3 == 1 for index in range(len(points))]
+        truths = engine.evaluate(profile, points, repetitions=1, noisy=False)
+        samples = engine.evaluate(profile, points, repetitions=3, mask=mask)
+        reference = np.random.default_rng(20682)
+        blocks = [_scalar_pairs(reference, 3) for _ in points]
+        kept = [index for index, masked in enumerate(mask) if not masked]
+        assert [sample.point for sample in samples] == [points[i] for i in kept]
+        for sample, index in zip(samples, kept):
+            time_truth, power_truth = truths[index].times[0], truths[index].powers[0]
+            assert [t.hex() for t in sample.times] == [
+                (time_truth * tf).hex() for tf, _ in blocks[index]
+            ]
+            assert [p.hex() for p in sample.powers] == [
+                (power_truth * pf).hex() for _, pf in blocks[index]
+            ]
+        # masked points drew too: the next draw follows every block
+        assert engine.executor.noise_factors(1) == _scalar_pairs(reference, 1)

@@ -204,3 +204,48 @@ class TestCompiler:
             )
             winners[name] = best.label
         assert len(set(winners.values())) >= 2
+
+
+def _reference_label(config):
+    """The label formula: the level, then the flags sorted by value."""
+    parts = [config.level.gcc_name]
+    parts.extend(flag.gcc_name for flag in sorted(config.flags, key=lambda f: f.value))
+    return " ".join(parts)
+
+
+_ALL_CONFIGS = standard_levels() + cobayn_space()
+
+
+class TestLabelPins:
+    """``label`` is a cache key everywhere (compile cache, engine point
+    keys, knowledge-base knobs): it must stay the reference string on
+    every copy of a configuration, and reading it must not change the
+    configuration's identity."""
+
+    def test_one_label_per_distinct_configuration(self):
+        # -O2 and -O3 are both standard levels and COBAYN points
+        assert len(_ALL_CONFIGS) == 132
+        assert len(set(_ALL_CONFIGS)) == 130
+        assert len({config.label for config in _ALL_CONFIGS}) == 130
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_label_survives_copies_and_round_trips(self, read_first):
+        import copy
+        import pickle
+
+        for template in _ALL_CONFIGS:
+            config = FlagConfiguration(template.level, frozenset(template.flags))
+            if read_first:
+                config.label
+            expected = _reference_label(template)
+            copies = [pickle.loads(pickle.dumps(config)), copy.deepcopy(config)]
+            assert config == template and hash(config) == hash(template)
+            assert hash(config) == hash((template.level, template.flags))
+            assert repr(config) == repr(template)
+            assert config.label == expected and str(config) == expected
+            for copied in copies:
+                assert copied == config and hash(copied) == hash(config)
+                assert copied.label == expected
+            parsed = parse_label(config.label)
+            assert parsed == config and hash(parsed) == hash(config)
+            assert parsed.label == expected

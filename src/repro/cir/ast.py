@@ -15,13 +15,44 @@ Design notes
 * ``#include`` and ``#define`` are preserved verbatim
   (:class:`Include`, :class:`MacroDef`) so a weaved translation unit
   prints back to a complete compilable-looking source file.
+* Each node class's field names are looked up once, in one shared
+  table (:func:`node_fields`); the visitors and :meth:`Node.clone` read
+  it instead of calling :func:`dataclasses.fields` per node.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
+
+#: Field names of every node class seen so far, in declaration order.
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+#: Immutable values a clone shares with its original.
+_SHARED = (str, int, float, bool, type(None))
+
+
+def node_fields(cls: type) -> Tuple[str, ...]:
+    """The dataclass field names of node class ``cls``, in order."""
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = tuple(f.name for f in dataclasses.fields(cls))
+        _FIELD_NAMES[cls] = names
+    return names
+
+
+def _clone_value(value: Any) -> Any:
+    if isinstance(value, _SHARED):
+        return value
+    if isinstance(value, Node):
+        return value.clone()
+    if isinstance(value, list):
+        return [_clone_value(item) for item in value]
+    if isinstance(value, tuple):
+        return tuple(_clone_value(item) for item in value)
+    return copy.deepcopy(value)
 
 
 @dataclass
@@ -29,8 +60,16 @@ class Node:
     """Base class for every AST node."""
 
     def clone(self) -> "Node":
-        """Return a deep copy of this node (used by kernel cloning)."""
-        return copy.deepcopy(self)
+        """Return a deep copy of this node (used by kernel cloning).
+
+        Copies structurally: child nodes are cloned, lists and tuples
+        copied, strings and numbers shared, anything else deep-copied.
+        """
+        twin = object.__new__(type(self))
+        twin.__dict__.update(
+            (name, _clone_value(value)) for name, value in self.__dict__.items()
+        )
+        return twin
 
 
 # ---------------------------------------------------------------------------

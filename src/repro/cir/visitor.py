@@ -1,15 +1,15 @@
 """Generic AST traversal utilities (mirrors the stdlib ``ast`` API).
 
 Child nodes are discovered from dataclass fields, so visitors keep
-working when new node kinds are added.
+working when new node kinds are added.  Each class's field names come
+from the shared per-class table (:func:`repro.cir.ast.node_fields`).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Iterator, List, Optional
 
-from repro.cir.ast import Node
+from repro.cir.ast import Node, node_fields
 
 
 def iter_child_nodes(node: Node) -> Iterator[Node]:
@@ -17,8 +17,8 @@ def iter_child_nodes(node: Node) -> Iterator[Node]:
 
     List fields are flattened; ``None`` children are skipped.
     """
-    for field in dataclasses.fields(node):
-        value = getattr(node, field.name)
+    for name in node_fields(type(node)):
+        value = getattr(node, name)
         if isinstance(value, Node):
             yield value
         elif isinstance(value, list):
@@ -71,16 +71,16 @@ class NodeTransformer:
         return self.generic_visit(node)
 
     def generic_visit(self, node: Node) -> Node:
-        for field in dataclasses.fields(node):
-            value = getattr(node, field.name)
+        for name in node_fields(type(node)):
+            value = getattr(node, name)
             if isinstance(value, Node):
                 replacement = self.visit(value)
                 if isinstance(replacement, list):
                     raise TypeError(
                         f"cannot splice a node list into scalar field "
-                        f"{type(node).__name__}.{field.name}"
+                        f"{type(node).__name__}.{name}"
                     )
-                setattr(node, field.name, replacement)
+                setattr(node, name, replacement)
             elif isinstance(value, list):
                 new_items: List[Any] = []
                 for item in value:
@@ -94,5 +94,5 @@ class NodeTransformer:
                         new_items.extend(replacement)
                     else:
                         new_items.append(replacement)
-                setattr(node, field.name, new_items)
+                setattr(node, name, new_items)
         return node

@@ -133,9 +133,7 @@ class DesignSpaceExplorer:
             samples = self._engine.evaluate(
                 profile, selected, repetitions=self._repetitions, mask=mask
             )
-            knowledge = KnowledgeBase()
-            for sample in samples:
-                knowledge.add(self._to_operating_point(sample))
+            knowledge = self._knowledge(samples)
         return ExplorationResult(
             kernel=profile.kernel,
             knowledge=knowledge,
@@ -171,29 +169,40 @@ class DesignSpaceExplorer:
 
     # -- internals ----------------------------------------------------------
 
-    @staticmethod
-    def _to_operating_point(sample: ProfiledSample) -> OperatingPoint:
-        times = np.asarray(sample.times)
-        powers = np.asarray(sample.powers)
-        throughputs = 1.0 / times
-        energies = times * powers
-        def stats(values: np.ndarray) -> MetricStats:
-            std = float(values.std(ddof=1)) if len(values) > 1 else 0.0
-            return MetricStats(mean=float(values.mean()), std=std)
-
-        knobs = {
-            KNOB_COMPILER: sample.point.compiler.label,
-            KNOB_THREADS: sample.point.threads,
-            KNOB_BINDING: sample.point.binding.value,
-        }
-        if sample.point.cluster is not None:
-            knobs[KNOB_CLUSTER] = sample.point.cluster
-        return OperatingPoint(
-            knobs=knobs,
-            metrics={
-                "time": stats(times),
-                "throughput": stats(throughputs),
-                "power": stats(powers),
-                "energy": stats(energies),
-            },
-        )
+    def _knowledge(self, samples: List[ProfiledSample]) -> KnowledgeBase:
+        """One operating point per sample.  Each metric's mean and std
+        are taken over its (points x repetitions) matrix at once; the
+        row reductions give the bits of per-sample ``mean``/``std``."""
+        shape = (len(samples), self._repetitions)
+        times = np.array([s.times for s in samples], dtype=float).reshape(shape)
+        powers = np.array([s.powers for s in samples], dtype=float).reshape(shape)
+        columns = {}
+        for name, values in (
+            ("time", times),
+            ("throughput", 1.0 / times),
+            ("power", powers),
+            ("energy", times * powers),
+        ):
+            means = values.mean(axis=1).tolist()
+            stds = (
+                values.std(axis=1, ddof=1).tolist()
+                if self._repetitions > 1
+                else [0.0] * len(samples)
+            )
+            columns[name] = [MetricStats(mean=m, std=s) for m, s in zip(means, stds)]
+        knowledge = KnowledgeBase()
+        for index, sample in enumerate(samples):
+            knobs = {
+                KNOB_COMPILER: sample.point.compiler.label,
+                KNOB_THREADS: sample.point.threads,
+                KNOB_BINDING: sample.point.binding.value,
+            }
+            if sample.point.cluster is not None:
+                knobs[KNOB_CLUSTER] = sample.point.cluster
+            knowledge.add(
+                OperatingPoint(
+                    knobs=knobs,
+                    metrics={name: column[index] for name, column in columns.items()},
+                )
+            )
+        return knowledge

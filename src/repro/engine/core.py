@@ -14,8 +14,8 @@ design-space explorer and the COBAYN corpus builder — shares one
 
 Determinism contract: model truths are pure functions of
 ``(kernel, placement)``, and measurement noise is drawn from the
-executor's single seeded stream in canonical point order — two pairs
-per repetition, exactly as the historical per-run draws — *before*
+executor's single seeded stream in canonical point order — one vector
+draw per call with the values of the historical per-run pairs — *before*
 truths are computed.  Serial and process-pool backends therefore
 produce bit-identical samples, and both reproduce the pre-engine
 hand-rolled loops byte for byte.
@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.engine.backends import ProcessPoolBackend, SerialBackend, Truth, WorkItem
 from repro.engine.caching import CompileCache, CompileKey, ProfileCache
@@ -230,14 +232,17 @@ class EvaluationEngine:
             label = point.compiler.label
             if label not in kernels:
                 kernels[label] = self.compile(profile, point.compiler)
-        # Noise is drawn before the truths are computed: the draw order
-        # (point-major, repetition-minor, time then power) matches the
-        # historical interleaved run() loop, keeping the stream state
-        # bit-identical while paying only one model evaluation per point.
-        # Masked points draw too — the stream position of every
-        # surviving point must not depend on what was pruned.
-        factor_blocks = (
-            [self._executor.noise_factors(repetitions) for _ in points]
+        # Noise is drawn before the truths are computed, in one call:
+        # the draw order (point-major, repetition-minor, time then power)
+        # matches the historical interleaved run() loop, keeping the
+        # stream state bit-identical while paying only one model
+        # evaluation per point.  Masked points draw too — the stream
+        # position of every surviving point must not depend on what was
+        # pruned.
+        factors = (
+            self._executor.noise_array(len(points) * repetitions).reshape(
+                len(points), repetitions, 2
+            )
             if noisy
             else None
         )
@@ -276,27 +281,29 @@ class EvaluationEngine:
                 )
             for key, truth in zip(missing, computed):
                 self._truth_cache[key] = truth
-        surviving = sum(1 for key in point_keys if key is not None)
+        kept = [index for index, key in enumerate(point_keys) if key is not None]
+        surviving = len(kept)
         masked_count = len(points) - surviving
         self._truth_misses += len(missing)
         self._truth_hits += surviving - len(missing)
         self._metric_truth_misses.inc(len(missing))
         self._metric_truth_hits.inc(surviving - len(missing))
         self._metric_batch.observe(len(points))
-        samples: List[ProfiledSample] = []
-        for index, point in enumerate(points):
-            key = point_keys[index]
-            if key is None:
-                continue
-            time_truth, power_truth = self._truth_cache[key]
-            if factor_blocks is not None:
-                block = factor_blocks[index]
-                times = [time_truth * time_factor for time_factor, _ in block]
-                powers = [power_truth * power_factor for _, power_factor in block]
-            else:
-                times = [time_truth] * repetitions
-                powers = [power_truth] * repetitions
-            samples.append(ProfiledSample(point=point, times=times, powers=powers))
+        truths = [self._truth_cache[point_keys[index]] for index in kept]
+        if factors is not None:
+            # truth * factor as columns: element-wise float64 products
+            # have the bits of the scalar products
+            truth_columns = np.array(truths, dtype=float).reshape(surviving, 2)
+            kept_factors = factors[kept]
+            time_rows = (truth_columns[:, 0:1] * kept_factors[:, :, 0]).tolist()
+            power_rows = (truth_columns[:, 1:2] * kept_factors[:, :, 1]).tolist()
+        else:
+            time_rows = [[time_truth] * repetitions for time_truth, _ in truths]
+            power_rows = [[power_truth] * repetitions for _, power_truth in truths]
+        samples = [
+            ProfiledSample(point=points[index], times=times, powers=powers)
+            for index, times, powers in zip(kept, time_rows, power_rows)
+        ]
         self._points_evaluated += surviving
         self._points_masked += masked_count
         self._metric_points.inc(surviving)

@@ -13,6 +13,7 @@ Two sub-spaces are involved:
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Tuple
 
@@ -63,9 +64,13 @@ class FlagConfiguration:
     level: OptLevel
     flags: FrozenSet[Flag] = frozenset()
 
-    @property
+    @functools.cached_property
     def label(self) -> str:
-        """Command-line style label, e.g. ``-O2 -fno-ivopts``."""
+        """Command-line style label, e.g. ``-O2 -fno-ivopts``.
+
+        Computed once per instance: it keys the compile cache, the
+        engine's truth cache and the knowledge-base compiler knob.
+        """
         parts = [self.level.gcc_name]
         parts.extend(flag.gcc_name for flag in sorted(self.flags, key=lambda f: f.value))
         return " ".join(parts)

@@ -78,6 +78,7 @@ class MachineExecutor:
         self._rng = np.random.default_rng(seed)
         self._time_sigma = time_noise_sigma
         self._power_sigma = power_noise_sigma
+        self._sigmas = np.array([time_noise_sigma, power_noise_sigma])
         # the one formula selection, see _compute_terms
         self._calibrated = machine.is_homogeneous and not machine.cluster(0).dvfs_states
 
@@ -102,28 +103,28 @@ class MachineExecutor:
         truth = self.evaluate(kernel, placement)
         if not noisy:
             return truth
-        ((time_factor, power_factor),) = self.noise_factors(1)
-        time_s = truth.time_s * time_factor
-        power_w = truth.power_w * power_factor
+        # one pair of scalar draws: cheaper than noise_array(1)
+        time_s = truth.time_s * float(self._rng.lognormal(0.0, self._time_sigma))
+        power_w = truth.power_w * float(self._rng.lognormal(0.0, self._power_sigma))
         return ExecutionResult(
             time_s=time_s, power_w=power_w, energy_j=invocation_energy(time_s, power_w)
         )
 
-    def noise_factors(self, count: int) -> List[Tuple[float, float]]:
-        """Draw ``count`` (time, power) measurement-noise factor pairs.
+    def noise_array(self, count: int) -> np.ndarray:
+        """Draw ``count`` (time, power) measurement-noise factor pairs
+        as a ``(count, 2)`` array, in one call on the seeded stream.
 
-        Consumes the seeded stream exactly as ``count`` noisy
-        :meth:`run` calls would, so a caller (the evaluation engine)
-        can separate noise generation from model evaluation without
-        perturbing downstream draws.
+        The values and the stream state afterwards are those of
+        ``count`` noisy :meth:`run` calls, so a caller (the evaluation
+        engine) can separate noise generation from model evaluation
+        without perturbing downstream draws.
         """
-        return [
-            (
-                float(self._rng.lognormal(0.0, self._time_sigma)),
-                float(self._rng.lognormal(0.0, self._power_sigma)),
-            )
-            for _ in range(count)
-        ]
+        draws = self._rng.lognormal(0.0, np.tile(self._sigmas, count))
+        return draws.reshape(count, 2)
+
+    def noise_factors(self, count: int) -> List[Tuple[float, float]]:
+        """:meth:`noise_array` as a list of ``(time, power)`` tuples."""
+        return [tuple(pair) for pair in self.noise_array(count).tolist()]
 
     def evaluate(
         self, kernel: CompiledKernel, placement: ThreadPlacement

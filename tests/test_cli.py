@@ -10,9 +10,9 @@ from repro.cli import build_parser, main
 FAST = ["--threads", "1,4,16", "--repetitions", "2"]
 
 
-def _golden(name):
-    """Expected stdout pinned under ``tests/golden/readers/``."""
-    return (Path(__file__).parent / "golden" / "readers" / name).read_text()
+def _golden(name, folder="readers"):
+    """Expected stdout pinned under ``tests/golden/<folder>/``."""
+    return (Path(__file__).parent / "golden" / folder / name).read_text()
 
 
 class TestParser:
@@ -184,23 +184,27 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Figure 4" in out
         assert out.count("\n") >= 5
+        assert out == _golden("fig4_mvt.txt", "figures")
 
     def test_table1_row_count(self, capsys):
         assert main(["table1"]) == 0
         out = capsys.readouterr().out
         # header + 12 benchmarks
         assert sum(1 for line in out.splitlines() if line.strip()) >= 13
+        assert out == _golden("table1.txt", "figures")
 
     def test_fig3_subset(self, capsys):
         assert main(["fig3", "--apps", "mvt"] + FAST) == 0
         out = capsys.readouterr().out
         assert "POWER" in out and "THROUGHPUT" in out
         assert "#" in out  # boxplot medians rendered
+        assert out == _golden("fig3_mvt.txt", "figures")
 
     def test_fig5_short(self, capsys):
         assert main(["fig5", "--app", "mvt", "--duration", "3"] + FAST) == 0
         out = capsys.readouterr().out
         assert "Power [W]" in out and "OMP threads" in out
+        assert out == _golden("fig5_mvt.txt", "figures")
 
     def test_trace_from_config(self, tmp_path, capsys):
         config = {

@@ -53,6 +53,7 @@ def _positive(convert, expected: str):
 
 _pool_size = _positive(int, "a positive process-pool size (max_workers)")
 _seconds = _positive(float, "a positive number of seconds")
+_count = _positive(int, "a positive integer")
 
 
 def _thread_counts(text: str) -> List[int]:
@@ -2230,7 +2231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subparsers.add_parser("predict", help="COBAYN flag predictions")
     _add_app_argument(p)
-    p.add_argument("-k", type=int, default=4, help="number of combinations")
+    p.add_argument("-k", type=_count, default=4, help="number of combinations")
     p.set_defaults(func=cmd_predict)
 
     p = subparsers.add_parser("weave", help="weave and report Table I metrics")
@@ -2298,7 +2299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser("loocv", help="COBAYN leave-one-out evaluation")
     _add_machine_argument(p)
     p.add_argument("--apps", help="comma-separated subset (default: all twelve)")
-    p.add_argument("-k", type=int, default=4)
+    p.add_argument("-k", type=_count, default=4)
     _add_dse_arguments(p, threads_help="unused placeholder for symmetry")
     p.set_defaults(func=cmd_loocv)
 
@@ -3000,7 +3001,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser("fig4", help="regenerate Figure 4")
     _add_machine_argument(p)
     p.add_argument("--app", default="2mm")
-    p.add_argument("--steps", type=int, default=20)
+    p.add_argument("--steps", type=_count, default=20)
     _add_dse_arguments(p)
     p.set_defaults(func=cmd_fig4)
 

@@ -662,8 +662,9 @@ class TestIncidentPipeline:
 
 
 class TestSharedOptionTypes:
-    """--threads, --duration and --workers are validated at parse time:
-    a bad value exits 2 naming the flag, before anything is built."""
+    """--threads, --duration, --workers, --steps and -k are validated at
+    parse time: a bad value exits 2 naming the flag, before anything is
+    built."""
 
     @pytest.fixture(autouse=True)
     def no_builds(self, monkeypatch):
@@ -683,11 +684,17 @@ class TestSharedOptionTypes:
             (["obs", "whatif", "mvt", "--duration", "nan"], "--duration"),
             (["build", "2mm", "--workers", "0"] + FAST, "--workers"),
             (["obs", "export", "mvt", "--workers", "x"], "--workers"),
+            (["fig4", "--steps", "-1"] + FAST, "--steps"),
+            (["fig4", "--steps", "0"] + FAST, "--steps"),
+            (["predict", "2mm", "-k", "-3"], "-k"),
+            (["loocv", "-k", "0"], "-k"),
         ],
     )
     def test_bad_value_exits_2_naming_the_flag(self, capsys, argv, flag):
         assert main(argv) == 2
-        assert f"argument {flag}:" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert f"argument {flag}:" in captured.err
+        assert captured.out == ""
 
     def test_thread_counts_sorted_and_deduplicated(self):
         args = build_parser().parse_args(["stats", "2mm", "--threads", "16, 1,4,1"])

@@ -77,10 +77,8 @@ def _run_dse_ablation(full_toolflow):
     return outcomes
 
 
-def test_ablation_dse_strategies(benchmark, full_toolflow, capsys):
-    outcomes = benchmark.pedantic(
-        _run_dse_ablation, args=(full_toolflow,), rounds=1, iterations=1
-    )
+def test_ablation_dse_strategies(full_toolflow, capsys):
+    outcomes = _run_dse_ablation(full_toolflow)
     lines = ["", "Ablation 1 -- DSE strategy (2mm, 4 levels x 32 threads x 2 bindings)"]
     for name, row in outcomes.items():
         lines.append(f"  {name:16s} points={row['points']:4d} best={row['best_ms']:8.1f} ms")
@@ -136,10 +134,8 @@ def _run_pruning_ablation(full_toolflow):
     }
 
 
-def test_ablation_cobayn_vs_random_pruning(benchmark, full_toolflow):
-    rows = benchmark.pedantic(
-        _run_pruning_ablation, args=(full_toolflow,), rounds=1, iterations=1
-    )
+def test_ablation_cobayn_vs_random_pruning(full_toolflow):
+    rows = _run_pruning_ablation(full_toolflow)
     print(
         "\nAblation 2 -- compiler-space pruning quality (2mm, best time in the 4-combo space)\n"
         f"  COBAYN top-4:      {rows['cobayn_ms']:8.1f} ms\n"
@@ -194,10 +190,8 @@ def _run_feedback_ablation(full_toolflow):
     return outcomes
 
 
-def test_ablation_feedback_adaptation(benchmark, full_toolflow):
-    outcomes = benchmark.pedantic(
-        _run_feedback_ablation, args=(full_toolflow,), rounds=1, iterations=1
-    )
+def test_ablation_feedback_adaptation(full_toolflow):
+    outcomes = _run_feedback_ablation(full_toolflow)
     print(
         "\nAblation 3 -- power budget (100 W) under a +20% machine drift\n"
         f"  no feedback:   settled at {outcomes['no-feedback']['settled_power']:6.1f} W\n"
@@ -252,10 +246,8 @@ def _run_dataset_drift(full_toolflow):
     return {"chosen_ms": chosen_ms, "best_ms": best_ms}
 
 
-def test_ablation_dataset_drift(benchmark, full_toolflow):
-    rows = benchmark.pedantic(
-        _run_dataset_drift, args=(full_toolflow,), rounds=1, iterations=1
-    )
+def test_ablation_dataset_drift(full_toolflow):
+    rows = _run_dataset_drift(full_toolflow)
     print(
         "\nAblation 4 -- LARGE-profiled knowledge driving a MEDIUM dataset (2mm)\n"
         f"  selected config at MEDIUM: {rows['chosen_ms']:8.2f} ms\n"
@@ -293,10 +285,8 @@ def _run_turbo_ablation(full_toolflow):
     return rows
 
 
-def test_ablation_turbo_model(benchmark, full_toolflow):
-    rows = benchmark.pedantic(
-        _run_turbo_ablation, args=(full_toolflow,), rounds=1, iterations=1
-    )
+def test_ablation_turbo_model(full_toolflow):
+    rows = _run_turbo_ablation(full_toolflow)
     lines = ["", "Ablation 5 -- turbo bins as a Xeon DVFS table (syrk, -O2, close binding)"]
     lines.append(f"  {'threads':>7s} {'base[ms]':>9s} {'turbo[ms]':>9s} {'base[W]':>8s} {'turbo[W]':>8s}")
     for threads, row in rows.items():
@@ -327,10 +317,8 @@ def _run_loocv(full_toolflow, apps):
     )
 
 
-def test_ablation_cobayn_loocv(benchmark, full_toolflow, apps):
-    report = benchmark.pedantic(
-        _run_loocv, args=(full_toolflow, apps), rounds=1, iterations=1
-    )
+def test_ablation_cobayn_loocv(full_toolflow, apps):
+    report = _run_loocv(full_toolflow, apps)
     print("\nAblation 6 -- COBAYN leave-one-out quality (true rank of predictions)")
     print(report.to_table())
     # every held-out app gets at least one prediction in the true top

@@ -18,26 +18,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.paper import pareto_spread
 from repro.dse.pareto import pareto_filter
 from repro.polybench.suite import BENCHMARK_NAMES
-
-
-def _distributions(results):
-    rows = {}
-    for name in BENCHMARK_NAMES:
-        built = results.build(name)
-        front = pareto_filter(
-            built.exploration.knowledge.points(),
-            [("throughput", True), ("power", False)],
-        )
-        powers = np.array([point.metric("power").mean for point in front])
-        throughputs = np.array([point.metric("throughput").mean for point in front])
-        rows[name] = {
-            "points": len(front),
-            "power": powers / powers.mean(),
-            "throughput": throughputs / throughputs.mean(),
-        }
-    return rows
 
 
 def _quartiles(values):
@@ -50,8 +33,11 @@ def _quartiles(values):
     )
 
 
-def test_fig3_pareto_distribution(benchmark, results):
-    rows = benchmark.pedantic(_distributions, args=(results,), rounds=1, iterations=1)
+def test_fig3_pareto_distribution(results):
+    rows = {}
+    for name in BENCHMARK_NAMES:
+        power, throughput = pareto_spread(results.build(name).exploration.knowledge)
+        rows[name] = {"points": len(power), "power": power, "throughput": throughput}
 
     lines = [
         "",

@@ -19,41 +19,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.margot.asrtm import ApplicationRuntimeManager
-from repro.margot.goal import ComparisonFunction, Goal
-from repro.margot.state import Constraint, OptimizationState, minimize_time
+from repro.core.paper import power_budget_sweep
 
 BUDGETS_W = np.linspace(45.0, 140.0, 20)
 
 
-def _sweep(knowledge):
-    asrtm = ApplicationRuntimeManager(knowledge)
-    goal = Goal("power", ComparisonFunction.LESS_OR_EQUAL, BUDGETS_W[0])
-    state = OptimizationState("power-budget", rank=minimize_time())
-    state.add_constraint(Constraint(goal))
-    asrtm.add_state(state)
-    rows = []
-    for budget in BUDGETS_W:
-        goal.value = float(budget)
-        point = asrtm.update()
-        rows.append(
-            {
-                "budget": float(budget),
-                "time_ms": point.metric("time").mean * 1e3,
-                "power": point.metric("power").mean,
-                "compiler": str(point.knob("compiler")),
-                "threads": int(point.knob("threads")),
-                "binding": str(point.knob("binding")),
-            }
-        )
-    return rows
-
-
-def test_fig4_power_budget_sweep(benchmark, results):
+def test_fig4_power_budget_sweep(results):
     built = results.build("2mm")
-    rows = benchmark.pedantic(
-        _sweep, args=(built.exploration.knowledge,), rounds=1, iterations=1
-    )
+    rows = power_budget_sweep(built.exploration.knowledge, BUDGETS_W)
 
     lines = [
         "",
@@ -84,7 +57,7 @@ def test_fig4_power_budget_sweep(benchmark, results):
 def test_fig4_no_clear_knob_trend(results):
     """The knob trajectory is not monotone: compiler and binding flip."""
     built = results.build("2mm")
-    rows = _sweep(built.exploration.knowledge)
+    rows = power_budget_sweep(built.exploration.knowledge, BUDGETS_W)
     compilers = [row["compiler"] for row in rows]
     threads = [row["threads"] for row in rows]
     # several distinct compiler configurations and thread counts appear
@@ -99,11 +72,6 @@ def test_fig4_no_clear_knob_trend(results):
 def test_fig4_infeasible_budget_relaxes_gracefully(results):
     """Below the machine's floor the AS-RTM picks the closest point."""
     built = results.build("2mm")
-    asrtm = ApplicationRuntimeManager(built.exploration.knowledge)
-    goal = Goal("power", ComparisonFunction.LESS_OR_EQUAL, 10.0)
-    state = OptimizationState("impossible", rank=minimize_time())
-    state.add_constraint(Constraint(goal))
-    asrtm.add_state(state)
-    point = asrtm.update()
+    [row] = power_budget_sweep(built.exploration.knowledge, [10.0])
     low, _ = built.exploration.knowledge.metric_bounds("power")
-    assert point.metric("power").mean <= low * 1.05
+    assert row["power"] <= low * 1.05

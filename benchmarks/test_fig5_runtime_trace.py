@@ -19,13 +19,8 @@ import numpy as np
 import pytest
 
 from repro.core.adaptive import AdaptiveApplication
-from repro.core.scenario import Phase, Scenario
+from repro.core.scenario import fig5_flip
 from repro.machine.power import RaplMeter
-from repro.margot.state import (
-    OptimizationState,
-    maximize_throughput,
-    maximize_throughput_per_watt_squared,
-)
 
 DURATION_S = 300.0
 SWITCH_1_S = 100.0
@@ -34,7 +29,7 @@ SWITCH_2_S = 200.0
 
 def _fresh_app(built):
     base = built.adaptive
-    app = AdaptiveApplication(
+    return AdaptiveApplication(
         name="2mm",
         versions=base._versions,
         knowledge=built.exploration.knowledge,
@@ -42,33 +37,20 @@ def _fresh_app(built):
         omp=base._omp,
         meter=RaplMeter(base._executor.power_model, seed=0xF15),
     )
-    app.add_state(
-        OptimizationState("Thr/W^2", rank=maximize_throughput_per_watt_squared()),
-        activate=True,
-    )
-    app.add_state(OptimizationState("Throughput", rank=maximize_throughput()))
-    return app
 
 
 def _run_trace(built):
-    scenario = Scenario(
-        phases=[
-            Phase(0.0, "Thr/W^2"),
-            Phase(SWITCH_1_S, "Throughput"),
-            Phase(SWITCH_2_S, "Thr/W^2"),
-        ],
-        duration_s=DURATION_S,
-    )
-    return scenario.run(_fresh_app(built))
+    app = _fresh_app(built)
+    return fig5_flip(app, DURATION_S).run(app)
 
 
 def _phase(trace, lo, hi):
     return [record for record in trace if lo <= record.timestamp < hi]
 
 
-def test_fig5_runtime_trace(benchmark, results):
+def test_fig5_runtime_trace(results):
     built = results.build("2mm")
-    trace = benchmark.pedantic(_run_trace, args=(built,), rounds=1, iterations=1)
+    trace = _run_trace(built)
 
     lines = [
         "",

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.gcc.flags import paper_custom_flags, standard_levels
-from repro.lara.metrics import strategy_loc, weave_benchmark
-from repro.polybench.suite import BENCHMARK_NAMES, load
+from repro.core.paper import table1_reports
+from repro.lara.metrics import strategy_loc
+from repro.polybench.suite import BENCHMARK_NAMES
 
 #: The paper's Table I rows: (Att, Act, O-LOC, W-LOC, D-LOC, Bloat).
 PAPER_TABLE1 = {
@@ -37,21 +37,13 @@ PAPER_TABLE1 = {
     "syrk": (370, 186, 62, 743, 681, 2.57),
 }
 
-_CONFIGS = standard_levels() + paper_custom_flags()
-
-
-def _weave_all():
-    return {name: weave_benchmark(load(name), _CONFIGS)[0] for name in BENCHMARK_NAMES}
-
 
 @pytest.fixture(scope="module")
 def reports(request):
-    return _weave_all()
+    return table1_reports()
 
 
-def test_table1_weaving_metrics(benchmark, capsys):
-    reports = benchmark.pedantic(_weave_all, rounds=1, iterations=1)
-
+def test_table1_weaving_metrics(reports, capsys):
     lines = [
         "",
         "Table I -- metrics from the application of the LARA strategies",

@@ -2128,15 +2128,12 @@ def cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
-    from repro.gcc.flags import paper_custom_flags, standard_levels
-    from repro.lara.metrics import strategy_loc, weave_benchmark
-    from repro.polybench.suite import BENCHMARK_NAMES, load
+    from repro.core.paper import table1_reports
+    from repro.lara.metrics import strategy_loc
 
-    configs = standard_levels() + paper_custom_flags()
     print(f"Table I (strategy: {strategy_loc()} logical lines)")
     print(f"{'Benchmark':12s} {'Att':>6s} {'Act':>5s} {'O-LOC':>6s} {'W-LOC':>6s} {'D-LOC':>6s} {'Bloat':>6s}")
-    for name in BENCHMARK_NAMES:
-        report, _ = weave_benchmark(load(name), configs)
+    for name, report in table1_reports().items():
         print(
             f"{name:12s} {report.attributes:6d} {report.actions:5d} "
             f"{report.original_loc:6d} {report.weaved_loc:6d} "
@@ -2146,7 +2143,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_fig3(args: argparse.Namespace) -> int:
-    from repro.dse.pareto import pareto_filter
+    from repro.core.paper import pareto_spread
     from repro.polybench.suite import BENCHMARK_NAMES
     from repro.viz.ascii import boxplot
 
@@ -2156,14 +2153,9 @@ def cmd_fig3(args: argparse.Namespace) -> int:
     throughput_rows = []
     for name in names:
         result = flow.build(_load_app(name))
-        front = pareto_filter(
-            result.exploration.knowledge.points(),
-            [("throughput", True), ("power", False)],
-        )
-        powers = np.array([p.metric("power").mean for p in front])
-        throughputs = np.array([p.metric("throughput").mean for p in front])
-        power_rows.append((name, powers / powers.mean()))
-        throughput_rows.append((name, throughputs / throughputs.mean()))
+        powers, throughputs = pareto_spread(result.exploration.knowledge)
+        power_rows.append((name, powers))
+        throughput_rows.append((name, throughputs))
     print("Figure 3 -- normalized POWER over the Pareto curve")
     print(boxplot(power_rows, bounds=(0.0, 2.5)))
     print("\nFigure 3 -- normalized THROUGHPUT over the Pareto curve")
@@ -2172,26 +2164,18 @@ def cmd_fig3(args: argparse.Namespace) -> int:
 
 
 def cmd_fig4(args: argparse.Namespace) -> int:
-    from repro.margot.asrtm import ApplicationRuntimeManager
-    from repro.margot.goal import ComparisonFunction, Goal
-    from repro.margot.state import Constraint, OptimizationState, minimize_time
+    from repro.core.paper import power_budget_sweep
 
-    flow = _toolflow(args)
-    result = flow.build(_load_app(args.app))
-    asrtm = ApplicationRuntimeManager(result.exploration.knowledge)
-    goal = Goal("power", ComparisonFunction.LESS_OR_EQUAL, 45.0)
-    state = OptimizationState("budget", rank=minimize_time())
-    state.add_constraint(Constraint(goal))
-    asrtm.add_state(state)
+    result = _toolflow(args).build(_load_app(args.app))
+    rows = power_budget_sweep(
+        result.exploration.knowledge, np.linspace(45.0, 140.0, args.steps)
+    )
     print(f"Figure 4 -- minimize exec time of {args.app} under a power budget")
     print(f"{'Budget[W]':>9s} {'Exec[ms]':>9s} {'Thr':>4s} {'Bind':>6s}  Compiler")
-    for budget in np.linspace(45.0, 140.0, args.steps):
-        goal.value = float(budget)
-        point = asrtm.update()
+    for row in rows:
         print(
-            f"{budget:9.1f} {point.metric('time').mean * 1e3:9.1f} "
-            f"{point.knob('threads'):4d} {str(point.knob('binding')):>6s}  "
-            f"{point.knob('compiler')}"
+            f"{row['budget']:9.1f} {row['time_ms']:9.1f} "
+            f"{row['threads']:4d} {row['binding']:>6s}  {row['compiler']}"
         )
     return 0
 

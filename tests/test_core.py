@@ -250,3 +250,10 @@ class TestScenarioBuilders:
         scenario = fig5_flip(adaptive, 3.0)
         assert [phase.start_s for phase in scenario.phases] == [0.0, 1.0, 2.0]
         assert scenario.duration_s == 3.0
+
+
+class TestPaperExperiments:
+    def test_empty_budget_sweep_is_empty(self, built_2mm):
+        from repro.core.paper import power_budget_sweep
+
+        assert power_budget_sweep(built_2mm.exploration.knowledge, []) == []

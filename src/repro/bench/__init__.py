@@ -15,8 +15,8 @@ longitudinal performance record of *itself*:
   thresholds, exact fingerprint matching, and attribution of any
   wall-time delta through the span-name diff and the stack diff of
   :mod:`repro.obs.profile`;
-* :mod:`repro.bench.measure` — the span-based timing helpers shared
-  with the tier-2 component benchmarks.
+* :mod:`repro.bench.measure` — peak RSS and the in-situ cost of the
+  alert hooks, read by the scenario runs.
 
 CLI: ``socrates bench list / run / compare / gate``.
 """
@@ -46,7 +46,7 @@ from repro.bench.gate import (
     StageVerdict,
     compare_result,
 )
-from repro.bench.measure import AlertOverheadProbe, SpanTimer, peak_rss_kb
+from repro.bench.measure import AlertOverheadProbe, peak_rss_kb
 from repro.bench.scenarios import (
     BenchScenario,
     ScenarioResult,
@@ -75,7 +75,6 @@ __all__ = [
     "RatioVerdict",
     "RobustStats",
     "ScenarioResult",
-    "SpanTimer",
     "StackBaseline",
     "StageBaseline",
     "StageVerdict",

@@ -19,7 +19,6 @@ from repro.bench import (
     BaselineFormatError,
     BenchBaseline,
     RobustStats,
-    SpanTimer,
     StageBaseline,
     baseline_filename,
     compare_result,
@@ -112,27 +111,11 @@ class TestRobustStats:
 
 
 # ---------------------------------------------------------------------------
-# span-based measurement
+# measurement helpers
 # ---------------------------------------------------------------------------
 
 
-class TestSpanTimer:
-    def test_wrap_records_spans(self):
-        timer = SpanTimer()
-        double = timer.wrap("double", lambda x: 2 * x)
-        assert [double(n) for n in (1, 2, 3)] == [2, 4, 6]
-        assert timer.count("double") == 3
-        assert timer.total_s("double") >= 0.0
-        assert len(timer.durations_s("double")) == 3
-
-    def test_call_and_totals(self):
-        timer = SpanTimer()
-        assert timer.call("add", lambda a, b: a + b, 2, 3) == 5
-        totals = timer.totals()
-        assert set(totals) == {"add"}
-        timer.clear()
-        assert timer.totals() == {}
-
+class TestPeakRss:
     def test_peak_rss_positive_on_linux(self):
         assert peak_rss_kb() > 0
 

@@ -519,6 +519,7 @@ class TestReferenceEquivalence:
             )
             assert _network_pin(tuner.network) == network_pin, held_out.kernel
             prediction = tuner.predict(held_out.features)
+            assert all(0.0 <= posterior <= 1.0 for _, posterior in prediction.ranked)
             assert [
                 (config.label, posterior.hex()) for config, posterior in prediction.ranked
             ] == ranked, held_out.kernel

@@ -160,7 +160,12 @@ class TestCompiler:
     def test_compile_is_memoized(self, p2mm):
         compiler = Compiler()
         config = FlagConfiguration(OptLevel.O2)
-        assert compiler.compile(p2mm, config) is compiler.compile(p2mm, config)
+        kernel = compiler.compile(p2mm, config)
+        assert compiler.compile(p2mm, config) is kernel
+        compiler._cache.clear()
+        recompiled = compiler.compile(p2mm, config)
+        assert recompiled is not kernel and recompiled == kernel
+        assert recompiled.total_cycles > 0
 
     def test_vectorized_version_fewer_cycles(self, p2mm):
         compiler = Compiler()

@@ -148,7 +148,9 @@ class TestParetoPrunedToolflow:
         for kb in (full, pruned):
             asrtm = ApplicationRuntimeManager(kb)
             asrtm.add_state(OptimizationState("perf", rank=minimize_time()))
-            selections.append(asrtm.update().key)
+            point = asrtm.update()
+            assert point.metric("time").mean > 0
+            selections.append(point.key)
         assert selections[0] == selections[1]
 
 

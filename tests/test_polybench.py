@@ -45,9 +45,10 @@ class TestSources:
 
     @pytest.mark.parametrize("name", BENCHMARK_NAMES)
     def test_round_trips(self, name):
-        unit = load(name).parse()
-        printed = to_source(unit)
+        app = load(name)
+        printed = to_source(app.parse())
         assert to_source(parse(printed)) == printed
+        assert all(kernel in printed for kernel in app.kernels)
 
     @pytest.mark.parametrize("name", BENCHMARK_NAMES)
     def test_kernel_function_exists(self, name):

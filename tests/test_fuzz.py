@@ -16,6 +16,58 @@ from repro.cir.lexer import LexError, tokenize
 
 _PRINTABLE = string.ascii_letters + string.digits + string.punctuation + " \t\n"
 
+#: Structurally plausible token sequences.
+TOKEN_SOUP = st.lists(st.sampled_from([
+    "int", "double", "void", "x", "y", "f", "(", ")", "{", "}", ";",
+    "=", "+", "*", "[", "]", "1", "2.5", "for", "if", "return", ",",
+]), max_size=40)
+
+#: Valid function bodies built from whole statements.
+COMPOSED_STATEMENTS = st.lists(
+    st.sampled_from(
+        [
+            "x = x + 1;",
+            "if (x > 0) { y = x; } else y = -x;",
+            "for (i = 0; i < 10; i++) s += i;",
+            "while (x < 100) x = x * 2;",
+            "do x--; while (x > 0);",
+            "{ int t = 3; x = t; }",
+            "return;",
+        ]
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+#: Fully parenthesized constant integer expressions.
+CONST_EXPRESSIONS = st.recursive(
+    st.integers(min_value=0, max_value=50).map(str),
+    lambda sub: st.one_of(
+        st.tuples(sub, st.sampled_from(["+", "-", "*"]), sub).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"
+        ),
+        st.tuples(sub, st.sampled_from(["/", "%"]), st.integers(min_value=1, max_value=9).map(str)).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"
+        ),
+        sub.map(lambda e: f"(-{e})"),
+    ),
+    max_leaves=12,
+)
+
+#: Statements of a terminating ``int run(int x)`` body.
+INTERPRETER_STATEMENTS = st.lists(
+    st.sampled_from(
+        [
+            "x = x * 3 + 1;",
+            "if (x % 2 == 0) x = x / 2;",
+            "for (i = 0; i < 5; i++) x += i;",
+            "x = x > 100 ? x - 100 : x;",
+        ]
+    ),
+    min_size=1,
+    max_size=6,
+)
+
 
 class TestLexerFuzz:
     @given(st.text(alphabet=_PRINTABLE, max_size=300))
@@ -35,10 +87,7 @@ class TestLexerFuzz:
         except (LexError, ParseError):
             pass
 
-    @given(st.lists(st.sampled_from([
-        "int", "double", "void", "x", "y", "f", "(", ")", "{", "}", ";",
-        "=", "+", "*", "[", "]", "1", "2.5", "for", "if", "return", ",",
-    ]), max_size=40))
+    @given(TOKEN_SOUP)
     @settings(max_examples=200, deadline=None)
     def test_token_soup(self, tokens):
         """Structurally plausible token sequences parse or ParseError."""
@@ -49,23 +98,7 @@ class TestLexerFuzz:
 
 
 class TestRoundTripFuzzOnValidPrograms:
-    @given(
-        st.lists(
-            st.sampled_from(
-                [
-                    "x = x + 1;",
-                    "if (x > 0) { y = x; } else y = -x;",
-                    "for (i = 0; i < 10; i++) s += i;",
-                    "while (x < 100) x = x * 2;",
-                    "do x--; while (x > 0);",
-                    "{ int t = 3; x = t; }",
-                    "return;",
-                ]
-            ),
-            min_size=1,
-            max_size=8,
-        )
-    )
+    @given(COMPOSED_STATEMENTS)
     @settings(max_examples=100, deadline=None)
     def test_composed_programs_round_trip(self, statements):
         body = "\n".join(statements)
@@ -78,21 +111,7 @@ class TestConstFoldInterpreterAgreement:
     """eval_const (the static analyzer) and the interpreter must agree
     on every constant integer expression both can handle."""
 
-    @given(
-        st.recursive(
-            st.integers(min_value=0, max_value=50).map(str),
-            lambda sub: st.one_of(
-                st.tuples(sub, st.sampled_from(["+", "-", "*"]), sub).map(
-                    lambda t: f"({t[0]} {t[1]} {t[2]})"
-                ),
-                st.tuples(sub, st.sampled_from(["/", "%"]), st.integers(min_value=1, max_value=9).map(str)).map(
-                    lambda t: f"({t[0]} {t[1]} {t[2]})"
-                ),
-                sub.map(lambda e: f"(-{e})"),
-            ),
-            max_leaves=12,
-        )
-    )
+    @given(CONST_EXPRESSIONS)
     @settings(max_examples=150, deadline=None)
     def test_agreement(self, text):
         from repro.cir import eval_const
@@ -110,21 +129,7 @@ class TestConstFoldInterpreterAgreement:
 
 
 class TestInterpreterDeterminism:
-    @given(
-        st.lists(
-            st.sampled_from(
-                [
-                    "x = x * 3 + 1;",
-                    "if (x % 2 == 0) x = x / 2;",
-                    "for (i = 0; i < 5; i++) x += i;",
-                    "x = x > 100 ? x - 100 : x;",
-                ]
-            ),
-            min_size=1,
-            max_size=6,
-        ),
-        st.integers(min_value=0, max_value=1000),
-    )
+    @given(INTERPRETER_STATEMENTS, st.integers(min_value=0, max_value=1000))
     @settings(max_examples=80, deadline=None)
     def test_same_program_same_result(self, statements, seed):
         from repro.cir.interp import Interpreter

@@ -8,6 +8,7 @@ from repro.gcc.flags import Flag, FlagConfiguration, OptLevel
 from repro.machine.executor import ExecutionResult, MachineExecutor
 from repro.machine.openmp import BindingPolicy, OpenMPRuntime
 from repro.machine.power import PowerModel, RaplMeter
+from repro.machine.registry import get_machine, machine_names
 from repro.machine.topology import Machine, default_machine
 from repro.polybench.suite import load
 from repro.polybench.workload import profile_kernel
@@ -97,6 +98,54 @@ class TestPlacement:
     def test_max_threads_matches_paper_knob(self, omp):
         # TN ranges "between 1 and the number of logical cores"
         assert omp.max_threads() == 32
+
+
+def _reference_invariants(assignments):
+    """(sockets_used, cores_used, smt_pairs, threads_per_socket) from
+    the assignments, by the defining formulas."""
+    per_socket = {}
+    per_core = {}
+    for place in assignments:
+        per_socket[place[0]] = per_socket.get(place[0], 0) + 1
+        per_core[place] = per_core.get(place, 0) + 1
+    return (
+        tuple(sorted({socket for socket, _ in assignments})),
+        len(set(assignments)),
+        sum(1 for count in per_core.values() if count > 1),
+        per_socket,
+    )
+
+
+class TestPlacementInvariantPins:
+    """Every registry machine and every (threads, binding, cluster)."""
+
+    @pytest.mark.parametrize("machine_name", machine_names())
+    def test_invariants_match_the_formulas(self, machine_name):
+        machine = get_machine(machine_name)
+        omp = OpenMPRuntime(machine)
+        for cluster in (None,) + machine.cluster_names():
+            for threads in range(1, omp.max_threads(cluster) + 1):
+                for policy in BindingPolicy:
+                    placement = omp.place(threads, policy, cluster=cluster)
+                    sockets, cores, smt, per_socket = _reference_invariants(
+                        placement.assignments
+                    )
+                    assert placement.sockets_used == sockets
+                    assert placement.cores_used == cores
+                    assert placement.smt_pairs == smt
+                    assert placement.threads_per_socket() == per_socket
+                    assert list(placement.threads_per_socket()) == list(per_socket)
+                    again = omp.place(threads, policy, cluster=cluster)
+                    assert again == placement
+                    assert again.threads_per_socket() == per_socket
+
+    def test_mutating_threads_per_socket_leaves_the_placement_alone(self, omp):
+        placement = omp.place(20, BindingPolicy.SPREAD)
+        counts = placement.threads_per_socket()
+        counts[0] = 99
+        counts[7] = 1
+        assert placement.threads_per_socket() == {0: 10, 1: 10}
+        assert omp.place(20, BindingPolicy.SPREAD).threads_per_socket() == {0: 10, 1: 10}
 
 
 class TestPowerModel:

@@ -5,13 +5,23 @@ identifiers, integer/float/string/char literals, all the operators that
 appear in expression-level C, preprocessor lines (``#include``,
 ``#define``, ``#pragma``) which are kept as single directive tokens,
 and both comment styles (stripped).
+
+The scanner jumps ahead by slices: whitespace, comments, identifier
+bodies and literals are consumed by compiled regexes or ``str.find``,
+and line/column come from newline counts.  Only the first character of
+a token is classified one at a time, by the ``str`` predicates the
+grammar is defined with (``isalpha``, ``isdigit``).  ``\\w`` matches
+exactly ``isalnum() or "_"`` over every code point, so identifier
+bodies can use it; ``\\d`` is *not* ``isdigit`` (128 code points, such
+as superscript digits, differ), so numbers are scanned with
+``isdigit``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator, List, Optional
+import re
+from typing import Dict, List, NamedTuple, Tuple
 
 KEYWORDS = frozenset(
     {
@@ -32,6 +42,20 @@ _OPERATORS = [
     "?", ":", ";", ",", ".", "(", ")", "[", "]", "{", "}",
 ]
 
+#: The operators by first character, longest first (maximal munch).
+_OPERATORS_BY_FIRST: Dict[str, Tuple[str, ...]] = {}
+for _op in _OPERATORS:
+    _OPERATORS_BY_FIRST[_op[0]] = _OPERATORS_BY_FIRST.get(_op[0], ()) + (_op,)
+del _op
+
+#: Whitespace, line comments and closed block comments, in any mix.
+_SKIP = re.compile(r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*", re.DOTALL)
+_WORD = re.compile(r"\w+")
+_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"', re.DOTALL)
+_CHAR = re.compile(r"'[^'\\]*(?:\\.[^'\\]*)*'", re.DOTALL)
+_HEX_DIGITS = re.compile(r"[0-9a-fA-F]*")
+_SUFFIX = re.compile(r"[uUlLfF]*")
+
 
 class TokenKind(enum.Enum):
     """Lexical category of a :class:`Token`."""
@@ -47,8 +71,7 @@ class TokenKind(enum.Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token with its source position."""
 
     kind: TokenKind
@@ -89,174 +112,121 @@ class Lexer:
 
     def __init__(self, source: str) -> None:
         self._src = source
-        self._pos = 0
-        self._line = 1
-        self._col = 1
 
     def tokens(self) -> List[Token]:
         """Tokenize the whole input and return the token list (EOF last)."""
-        return list(self._iter_tokens())
-
-    def _iter_tokens(self) -> Iterator[Token]:
+        src = self._src
+        size = len(src)
+        skip = _SKIP.match
+        word = _WORD.match
+        out: List[Token] = []
+        append = out.append
+        pos = 0
+        line = 1
+        line_start = 0  # index of the first character of ``line``
         while True:
-            self._skip_whitespace_and_comments()
-            if self._pos >= len(self._src):
-                yield Token(TokenKind.EOF, "", self._line, self._col)
-                return
-            token = self._next_token()
-            yield token
+            if pos < size and src[pos] in " \t\r\n/":
+                end = skip(src, pos).end()
+                newlines = src.count("\n", pos, end)
+                if newlines:
+                    line += newlines
+                    line_start = src.rindex("\n", pos, end) + 1
+                pos = end
+            if pos >= size:
+                append(Token(TokenKind.EOF, "", line, pos - line_start + 1))
+                return out
+            col = pos - line_start + 1
+            char = src[pos]
 
-    # -- scanning helpers -------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index < len(self._src):
-            return self._src[index]
-        return ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._pos >= len(self._src):
-                return
-            if self._src[self._pos] == "\n":
-                self._line += 1
-                self._col = 1
-            else:
-                self._col += 1
-            self._pos += 1
-
-    def _at_line_start(self) -> bool:
-        index = self._pos - 1
-        while index >= 0:
-            char = self._src[index]
-            if char == "\n":
-                return True
-            if char not in " \t":
-                return False
-            index -= 1
-        return True
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self._pos < len(self._src):
-            char = self._peek()
-            if char in " \t\r\n":
-                self._advance()
-            elif char == "/" and self._peek(1) == "/":
-                while self._pos < len(self._src) and self._peek() != "\n":
-                    self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self._pos < len(self._src):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise LexError("unterminated block comment", self._line, self._col)
-            else:
-                return
-
-    # -- token producers ---------------------------------------------------
-
-    def _next_token(self) -> Token:
-        line, col = self._line, self._col
-        char = self._peek()
-
-        if char == "#" and self._at_line_start():
-            return self._lex_directive(line, col)
-        if char.isalpha() or char == "_":
-            return self._lex_ident(line, col)
-        if char.isdigit() or (char == "." and self._peek(1).isdigit()):
-            return self._lex_number(line, col)
-        if char == '"':
-            return self._lex_string(line, col)
-        if char == "'":
-            return self._lex_char(line, col)
-        for op in _OPERATORS:
-            if self._src.startswith(op, self._pos):
-                self._advance(len(op))
-                return Token(TokenKind.OP, op, line, col)
-        raise LexError(f"unexpected character {char!r}", line, col)
-
-    def _lex_directive(self, line: int, col: int) -> Token:
-        parts: List[str] = []
-        while self._pos < len(self._src):
-            char = self._peek()
-            if char == "\\" and self._peek(1) == "\n":
-                self._advance(2)
-                parts.append(" ")
+            if char == "/" and src.startswith("/*", pos):
+                # _SKIP consumes every closed comment, so this one runs
+                # to the end of the input, where the error is reported
+                newlines = src.count("\n", pos)
+                if newlines:
+                    line += newlines
+                    line_start = src.rindex("\n", pos) + 1
+                raise LexError("unterminated block comment", line, size - line_start + 1)
+            if char == "#" and not src[line_start:pos].strip(" \t"):
+                end = _directive_end(src, pos)
+                raw = src[pos:end]
+                append(Token(TokenKind.DIRECTIVE, raw.replace("\\\n", " ").strip(), line, col))
+            elif char.isalpha() or char == "_":
+                end = word(src, pos).end()
+                text = src[pos:end]
+                kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
+                append(Token(kind, text, line, col))
+                pos = end
                 continue
-            if char == "\n":
-                break
-            parts.append(char)
-            self._advance()
-        text = "".join(parts).strip()
-        return Token(TokenKind.DIRECTIVE, text, line, col)
+            elif char.isdigit() or (char == "." and src[pos + 1 : pos + 2].isdigit()):
+                end, is_float = _scan_number(src, pos)
+                kind = TokenKind.FLOAT if is_float else TokenKind.INT
+                append(Token(kind, src[pos:end], line, col))
+                pos = end
+                continue
+            elif char == '"' or char == "'":
+                match = (_STRING if char == '"' else _CHAR).match(src, pos)
+                if match is None:
+                    what = "string" if char == '"' else "character"
+                    raise LexError(f"unterminated {what} literal", line, col)
+                end = match.end()
+                kind = TokenKind.STRING if char == '"' else TokenKind.CHAR
+                append(Token(kind, match.group(), line, col))
+            else:
+                for op in _OPERATORS_BY_FIRST.get(char, ()):
+                    if src.startswith(op, pos):
+                        append(Token(TokenKind.OP, op, line, col))
+                        pos += len(op)
+                        break
+                else:
+                    raise LexError(f"unexpected character {char!r}", line, col)
+                continue
+            # directives and literals may span lines
+            newlines = src.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = src.rindex("\n", pos, end) + 1
+            pos = end
 
-    def _lex_ident(self, line: int, col: int) -> Token:
-        start = self._pos
-        while self._pos < len(self._src) and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        text = self._src[start : self._pos]
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, line, col)
 
-    def _lex_number(self, line: int, col: int) -> Token:
-        start = self._pos
-        is_float = False
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-        else:
-            while self._peek().isdigit():
-                self._advance()
-            if self._peek() == ".":
-                is_float = True
-                self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-            if self._peek() in "eE" and (
-                self._peek(1).isdigit()
-                or (self._peek(1) in "+-" and self._peek(2).isdigit())
-            ):
-                is_float = True
-                self._advance()
-                if self._peek() in "+-":
-                    self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-        # integer / float suffixes
-        while self._peek() and self._peek() in "uUlLfF":
-            if self._peek() in "fF":
-                is_float = True
-            self._advance()
-        text = self._src[start : self._pos]
-        return Token(TokenKind.FLOAT if is_float else TokenKind.INT, text, line, col)
+def _directive_end(src: str, pos: int) -> int:
+    """End of the directive starting at ``pos``: the first newline not
+    escaped by a backslash right before it, or the end of the input."""
+    end = src.find("\n", pos)
+    while end != -1 and src[end - 1] == "\\":
+        end = src.find("\n", end + 1)
+    return len(src) if end == -1 else end
 
-    def _lex_string(self, line: int, col: int) -> Token:
-        start = self._pos
-        self._advance()  # opening quote
-        while self._pos < len(self._src) and self._peek() != '"':
-            if self._peek() == "\\":
-                self._advance()
-            self._advance()
-        if self._pos >= len(self._src):
-            raise LexError("unterminated string literal", line, col)
-        self._advance()  # closing quote
-        return Token(TokenKind.STRING, self._src[start : self._pos], line, col)
 
-    def _lex_char(self, line: int, col: int) -> Token:
-        start = self._pos
-        self._advance()  # opening quote
-        while self._pos < len(self._src) and self._peek() != "'":
-            if self._peek() == "\\":
-                self._advance()
-            self._advance()
-        if self._pos >= len(self._src):
-            raise LexError("unterminated character literal", line, col)
-        self._advance()  # closing quote
-        return Token(TokenKind.CHAR, self._src[start : self._pos], line, col)
+def _scan_number(src: str, pos: int) -> Tuple[int, bool]:
+    """(end, is_float) of the numeric literal starting at ``pos``."""
+    size = len(src)
+    is_float = False
+    end = pos
+    if src[pos] == "0" and src[pos + 1 : pos + 2] in ("x", "X"):
+        end = _HEX_DIGITS.match(src, pos + 2).end()
+    else:
+        while end < size and src[end].isdigit():
+            end += 1
+        if src[end : end + 1] == ".":
+            is_float = True
+            end += 1
+            while end < size and src[end].isdigit():
+                end += 1
+        if src[end : end + 1] in ("e", "E") and (
+            src[end + 1 : end + 2].isdigit()
+            or (src[end + 1 : end + 2] in ("+", "-") and src[end + 2 : end + 3].isdigit())
+        ):
+            is_float = True
+            end += 1
+            if src[end] in "+-":
+                end += 1
+            while end < size and src[end].isdigit():
+                end += 1
+    # integer / float suffixes
+    suffix = _SUFFIX.match(src, end)
+    if "f" in suffix.group() or "F" in suffix.group():
+        is_float = True
+    return suffix.end(), is_float
 
 
 def tokenize(source: str) -> List[Token]:

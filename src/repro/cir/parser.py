@@ -34,6 +34,25 @@ _QUALIFIERS = frozenset({"const", "volatile", "restrict", "static", "extern", "r
 
 _ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="})
 
+#: Binary operators from loosest to tightest binding.
+_BINARY_LEVELS: List[Tuple[str, ...]] = [
+    ("||",),
+    ("&&",),
+    ("|",),
+    ("^",),
+    ("&",),
+    ("==", "!="),
+    ("<", ">", "<=", ">="),
+    ("<<", ">>"),
+    ("+", "-"),
+    ("*", "/", "%"),
+]
+
+#: Operator -> precedence, 1 for the loosest level; 0 is not binary.
+_BINARY_PRECEDENCE = {
+    op: level for level, ops in enumerate(_BINARY_LEVELS, start=1) for op in ops
+}
+
 
 class ParseError(ValueError):
     """Raised on input outside the supported C subset."""
@@ -47,7 +66,11 @@ class Parser:
     """Parse one translation unit from C source text."""
 
     def __init__(self, source: str, name: str = "<anonymous>") -> None:
-        self._tokens = Lexer(source).tokens()
+        tokens = Lexer(source).tokens()
+        # the position never passes EOF and the parser looks at most one
+        # token ahead, so one more EOF keeps every _peek in range
+        tokens.append(tokens[-1])
+        self._tokens = tokens
         self._pos = 0
         self._name = name
         self._typedefs = {"size_t", "ptrdiff_t", "int64_t", "uint64_t", "int32_t", "uint32_t"}
@@ -55,11 +78,10 @@ class Parser:
     # -- token stream helpers ----------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        return self._tokens[self._pos + offset]
 
     def _next(self) -> Token:
-        token = self._peek()
+        token = self._tokens[self._pos]
         if token.kind is not TokenKind.EOF:
             self._pos += 1
         return token
@@ -424,7 +446,7 @@ class Parser:
         return lhs
 
     def _parse_ternary(self) -> ast.Expr:
-        cond = self._parse_binary(0)
+        cond = self._parse_binary(1)
         if self._accept_op("?"):
             then = self._parse_expression()
             self._expect_op(":")
@@ -432,37 +454,27 @@ class Parser:
             return ast.TernaryOp(cond=cond, then=then, other=other)
         return cond
 
-    _BINARY_LEVELS: List[Tuple[str, ...]] = [
-        ("||",),
-        ("&&",),
-        ("|",),
-        ("^",),
-        ("&",),
-        ("==", "!="),
-        ("<", ">", "<=", ">="),
-        ("<<", ">>"),
-        ("+", "-"),
-        ("*", "/", "%"),
-    ]
+    def _parse_binary(self, min_precedence: int) -> ast.Expr:
+        """Precedence climbing over :data:`_BINARY_PRECEDENCE`.
 
-    def _parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(self._BINARY_LEVELS):
-            return self._parse_unary()
-        ops = self._BINARY_LEVELS[level]
-        expr = self._parse_binary(level + 1)
-        while self._peek().is_op(*ops):
-            op = self._next().text
-            rhs = self._parse_binary(level + 1)
-            expr = ast.BinOp(op=op, lhs=expr, rhs=rhs)
-        return expr
+        Every binary operator is left-associative, so the right operand
+        only takes operators that bind tighter than the one just read.
+        """
+        expr = self._parse_unary()
+        while True:
+            token = self._tokens[self._pos]
+            if token.kind is not TokenKind.OP:
+                return expr
+            precedence = _BINARY_PRECEDENCE.get(token.text, 0)
+            if precedence < min_precedence:
+                return expr
+            self._pos += 1
+            rhs = self._parse_binary(precedence + 1)
+            expr = ast.BinOp(op=token.text, lhs=expr, rhs=rhs)
 
     def _parse_unary(self) -> ast.Expr:
         token = self._peek()
-        if token.is_op("+", "-", "!", "~", "*", "&"):
-            self._next()
-            operand = self._parse_unary()
-            return ast.UnaryOp(op=token.text, operand=operand)
-        if token.is_op("++", "--"):
+        if token.is_op("+", "-", "!", "~", "*", "&", "++", "--"):
             self._next()
             operand = self._parse_unary()
             return ast.UnaryOp(op=token.text, operand=operand)
@@ -487,6 +499,8 @@ class Parser:
         expr = self._parse_primary()
         while True:
             token = self._peek()
+            if token.kind is not TokenKind.OP:
+                return expr
             if token.is_op("["):
                 indices: List[ast.Expr] = []
                 while self._accept_op("["):

@@ -33,7 +33,13 @@ def walk(node: Node) -> Iterator[Node]:
     while stack:
         current = stack.pop()
         yield current
-        children = list(iter_child_nodes(current))
+        children: List[Node] = []
+        for name in node_fields(type(current)):
+            value = getattr(current, name)
+            if isinstance(value, Node):
+                children.append(value)
+            elif isinstance(value, list):
+                children.extend(item for item in value if isinstance(item, Node))
         stack.extend(reversed(children))
 
 

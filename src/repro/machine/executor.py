@@ -26,6 +26,7 @@ Model summary (one kernel invocation):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -296,9 +297,9 @@ class MachineExecutor:
         iterations = profile.parallel_iterations / profile.parallel_regions
         if iterations <= 0:
             return 1.0
-        chunks = np.ceil(iterations / threads)
+        chunks = math.ceil(iterations / threads)
         quantization = (chunks * threads) / iterations
-        return float(max(1.0, quantization))
+        return max(1.0, quantization)
 
     def _fork_join(self, regions: float, placement: ThreadPlacement) -> float:
         if regions <= 0 or placement.num_threads == 1:

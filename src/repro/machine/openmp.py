@@ -35,11 +35,28 @@ class ThreadPlacement:
     place; with more threads than places, several threads share a core
     via SMT.  ``cluster`` names the cluster type the team was pinned to
     (``None`` = the whole machine, the historical behaviour).
+
+    The counts the machine model reads on every evaluation (sockets,
+    cores, SMT pairs, threads per socket) are computed once, here.
     """
 
     policy: BindingPolicy
     assignments: Tuple[Tuple[int, int], ...]
     cluster: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        per_socket: Dict[int, int] = {}
+        per_core: Dict[Tuple[int, int], int] = {}
+        for place in self.assignments:
+            per_socket[place[0]] = per_socket.get(place[0], 0) + 1
+            per_core[place] = per_core.get(place, 0) + 1
+        fixed = object.__setattr__
+        fixed(self, "_threads_per_socket", per_socket)
+        fixed(self, "_sockets_used", tuple(sorted(per_socket)))
+        fixed(self, "_cores_used", len(per_core))
+        fixed(
+            self, "_smt_pairs", sum(1 for count in per_core.values() if count > 1)
+        )
 
     @property
     def num_threads(self) -> int:
@@ -47,25 +64,20 @@ class ThreadPlacement:
 
     @property
     def sockets_used(self) -> Tuple[int, ...]:
-        return tuple(sorted({socket for socket, _ in self.assignments}))
+        return self._sockets_used
 
     @property
     def cores_used(self) -> int:
-        return len(set(self.assignments))
+        return self._cores_used
 
     def threads_per_socket(self) -> Dict[int, int]:
-        counts: Dict[int, int] = {}
-        for socket, _ in self.assignments:
-            counts[socket] = counts.get(socket, 0) + 1
-        return counts
+        """Threads per socket, in first-assignment order (a fresh dict)."""
+        return dict(self._threads_per_socket)
 
     @property
     def smt_pairs(self) -> int:
         """Cores running two (or more) threads via hyperthreading."""
-        per_core: Dict[Tuple[int, int], int] = {}
-        for place in self.assignments:
-            per_core[place] = per_core.get(place, 0) + 1
-        return sum(1 for count in per_core.values() if count > 1)
+        return self._smt_pairs
 
 
 class OpenMPRuntime:
@@ -74,6 +86,9 @@ class OpenMPRuntime:
     def __init__(self, machine: Machine) -> None:
         self._machine = machine
         self._places = machine.core_places()
+        self._placed: Dict[
+            Tuple[int, BindingPolicy, Optional[str]], ThreadPlacement
+        ] = {}
 
     @property
     def machine(self) -> Machine:
@@ -109,8 +124,18 @@ class OpenMPRuntime:
         the restricted list.
 
         Teams larger than the number of places wrap around, stacking a
-        second SMT thread per core.
+        second SMT thread per core.  Placements are immutable, so each
+        ``(num_threads, policy, cluster)`` is placed once and shared.
         """
+        key = (num_threads, policy, cluster)
+        placement = self._placed.get(key)
+        if placement is None:
+            placement = self._placed[key] = self._place(num_threads, policy, cluster)
+        return placement
+
+    def _place(
+        self, num_threads: int, policy: BindingPolicy, cluster: Optional[str]
+    ) -> ThreadPlacement:
         if num_threads < 1:
             raise ValueError("num_threads must be >= 1")
         if num_threads > self.max_threads(cluster):

@@ -56,6 +56,20 @@ _seconds = _positive(float, "a positive number of seconds")
 _count = _positive(int, "a positive integer")
 
 
+def _dataset_size(text: str) -> int:
+    """run --size: an integer of at least 4, the smallest dimension the
+    interpreted benchmarks run at."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 4:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 4, got {text!r}"
+        )
+    return value
+
+
 def _thread_counts(text: str) -> List[int]:
     """--threads: comma-separated positive counts, sorted and deduplicated."""
     tokens = [token.strip() for token in text.split(",")]
@@ -518,7 +532,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         obs = NULL_OBS
     app = _load_app(args.app)
-    overrides = {name: max(4, args.size) for name in app.sizes}
+    overrides = {name: args.size for name in app.sizes}
     for name in overrides:
         if name.startswith("TSTEPS"):
             overrides[name] = 2
@@ -526,9 +540,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     with obs.tracer.span(f"run:{app.name}", app=app.name, weaved=args.weaved):
         if args.weaved:
             from repro.gcc.flags import paper_custom_flags, standard_levels
-            from repro.lara.metrics import weave_benchmark
+            from repro.lara.metrics import default_versions, weave_benchmark
 
             configs = standard_levels() + paper_custom_flags()
+            arms = len(default_versions(configs))
+            if not 0 <= args.version < arms:
+                raise ValueError(
+                    f"--version {args.version}: the woven {app.name} has "
+                    f"versions 0..{arms - 1}"
+                )
             with obs.tracer.span("weave"):
                 _, weaver = weave_benchmark(app, configs)
             stubs = {
@@ -585,8 +605,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.source:
         if getattr(args, "prune_plan", None):
             raise ValueError("--prune-plan needs a benchmark app")
-        with open(args.source) as handle:
-            text = handle.read()
+        try:
+            with open(args.source) as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as error:
+            raise ValueError(f"{args.source}: cannot read source ({error})") from None
         report = CheckReport()
         report.extend(check_source_text(text, filename=args.source), units=1)
     elif getattr(args, "all", False) or args.app:
@@ -2291,7 +2314,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="interpret a benchmark source at a tiny dataset"
     )
     _add_app_argument(p)
-    p.add_argument("--size", type=int, default=8, help="dimension override")
+    p.add_argument("--size", type=_dataset_size, default=8, help="dimension override")
     p.add_argument("--weaved", action="store_true", help="run the weaved source")
     p.add_argument("--version", type=int, default=0, help="clone to dispatch (with --weaved)")
     p.add_argument(

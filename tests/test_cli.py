@@ -297,6 +297,19 @@ class TestRunCommand:
             checksums.append(line.split("checksum=")[1])
         assert checksums[0] == checksums[1]
 
+    @pytest.mark.parametrize("version", ["16", "99", "-1"])
+    def test_weaved_version_outside_the_arms_exits_2(self, capsys, version):
+        assert main(["run", "mvt", "--weaved", "--version", version]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: --version {version}: the woven mvt has versions 0..15\n"
+        )
+        assert captured.out == ""
+
+    def test_smallest_size_runs(self, capsys):
+        assert main(["run", "2mm", "--size", "4"]) == 0
+        assert "D: shape=(4, 4)" in capsys.readouterr().out
+
 
 CLEAN_C = "int main() {\n  return 0;\n}\n"
 
@@ -381,6 +394,23 @@ class TestCheckCommand:
     def test_app_pristine_only(self, capsys):
         assert main(["check", "mvt", "--pristine-only"]) == 2
         assert "1 unit(s)" in capsys.readouterr().out
+
+    def test_missing_source_is_a_named_error(self, tmp_path, capsys):
+        path = tmp_path / "nonexist.c"
+        assert main(["check", "--source", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: cannot read source (")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_non_utf8_source_is_a_named_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.c"
+        path.write_bytes(b"int main() { return 0; }\n/* \xff */\n")
+        assert main(["check", "--source", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: cannot read source (")
+        assert "codec can't decode" in captured.err
+        assert captured.out == ""
 
     def test_no_selection_is_an_error(self, capsys):
         assert main(["check"]) == 2
@@ -662,7 +692,7 @@ class TestIncidentPipeline:
 
 
 class TestSharedOptionTypes:
-    """--threads, --duration, --workers, --steps and -k are validated at
+    """--threads, --duration, --workers, --steps, -k and --size are validated at
     parse time: a bad value exits 2 naming the flag, before anything is
     built."""
 
@@ -688,6 +718,10 @@ class TestSharedOptionTypes:
             (["fig4", "--steps", "0"] + FAST, "--steps"),
             (["predict", "2mm", "-k", "-3"], "-k"),
             (["loocv", "-k", "0"], "-k"),
+            (["run", "2mm", "--size", "3"], "--size"),
+            (["run", "2mm", "--size", "0"], "--size"),
+            (["run", "2mm", "--size", "-2"], "--size"),
+            (["run", "2mm", "--size", "big"], "--size"),
         ],
     )
     def test_bad_value_exits_2_naming_the_flag(self, capsys, argv, flag):

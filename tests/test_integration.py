@@ -5,6 +5,7 @@ live in benchmarks/)."""
 import numpy as np
 import pytest
 
+from repro.core.paper import pareto_spread, power_budget_sweep
 from repro.core.scenario import Phase, Scenario
 from repro.dse.pareto import pareto_filter
 from repro.margot.goal import ComparisonFunction, Goal
@@ -39,13 +40,8 @@ class TestFigure3Shape:
     spans a wide power/throughput range."""
 
     def test_pareto_spread_is_wide(self, built_2mm):
-        front = pareto_filter(
-            built_2mm.exploration.knowledge.points(),
-            [("throughput", True), ("power", False)],
-        )
-        assert len(front) >= 5
-        powers = np.array([p.metric("power").mean for p in front])
-        throughputs = np.array([p.metric("throughput").mean for p in front])
+        powers, throughputs = pareto_spread(built_2mm.exploration.knowledge)
+        assert len(powers) >= 5
         assert powers.max() / powers.min() > 1.5
         assert throughputs.max() / throughputs.min() > 2.0
 
@@ -64,37 +60,27 @@ class TestFigure4Shape:
 
     @pytest.fixture()
     def budget_sweep(self, built_2mm):
-        from repro.margot.asrtm import ApplicationRuntimeManager
-
-        asrtm = ApplicationRuntimeManager(built_2mm.exploration.knowledge)
-        goal = Goal("power", ComparisonFunction.LESS_OR_EQUAL, 45.0)
-        state = OptimizationState("budget", rank=minimize_time())
-        state.add_constraint(Constraint(goal))
-        asrtm.add_state(state)
-        rows = []
-        for budget in np.linspace(45, 140, 12):
-            goal.value = float(budget)
-            point = asrtm.update()
-            rows.append((budget, point))
-        return rows
+        return power_budget_sweep(
+            built_2mm.exploration.knowledge, np.linspace(45, 140, 12)
+        )
 
     def test_time_monotone_nonincreasing(self, budget_sweep):
-        times = [point.metric("time").mean for _, point in budget_sweep]
+        times = [row["time_ms"] for row in budget_sweep]
         for earlier, later in zip(times, times[1:]):
             assert later <= earlier * 1.001
 
     def test_power_within_budget(self, budget_sweep):
-        for budget, point in budget_sweep:
-            assert point.metric("power").mean <= budget * 1.02
+        for row in budget_sweep:
+            assert row["power"] <= row["budget"] * 1.02
 
     def test_threads_grow_with_budget(self, budget_sweep):
-        first = budget_sweep[0][1].knob("threads")
-        last = budget_sweep[-1][1].knob("threads")
+        first = budget_sweep[0]["threads"]
+        last = budget_sweep[-1]["threads"]
         assert last > first
 
     def test_selected_compilers_vary(self, budget_sweep):
-        compilers = {point.knob("compiler") for _, point in budget_sweep}
-        threads = {point.knob("threads") for _, point in budget_sweep}
+        compilers = {row["compiler"] for row in budget_sweep}
+        threads = {row["threads"] for row in budget_sweep}
         # "no clear trend in the selected software-knobs": several
         # distinct configurations appear across the sweep
         assert len(threads) >= 4

@@ -1,11 +1,10 @@
 """``socrates check`` orchestration.
 
 Ties the analyses together for one translation unit or one benchmark
-app: render the canonical source with a line map, run the OpenMP race
-lint (plus the weave verifier when a
-:class:`~repro.lara.weaver.WeavePlan` is available), and filter the
-diagnostics through ``#pragma socrates suppress(RULE, ...)``
-annotations.
+app: index the unit once, run the OpenMP race lint (plus the weave
+verifier when a :class:`~repro.lara.weaver.WeavePlan` is available)
+over that index, and filter the diagnostics through
+``#pragma socrates suppress(RULE, ...)`` annotations.
 
 Suppression scopes:
 
@@ -17,7 +16,8 @@ Suppression scopes:
 Diagnostics are located in the *printed* canonical form of the unit
 (``repro.cir`` ASTs carry no original source positions), which is
 also exactly what ``socrates weave --source`` and the woven artifacts
-show.
+show.  The unit is printed for its line map only when the first
+diagnostic asks for a line, so a clean unit is never printed.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from repro.analysis.diagnostics import CheckReport, Diagnostic
 from repro.analysis.races import check_unit_races
 from repro.analysis.weavecheck import verify_weave
 from repro.cir import ast, parse
-from repro.cir.printer import to_source_with_map
-from repro.cir.visitor import walk
+from repro.cir.index import NodeIndex
+from repro.cir.printer import SourceMap
 
 _SUPPRESS_RE = re.compile(r"^\s*socrates\s+suppress\s*\(([^)]*)\)\s*$")
 
@@ -47,39 +47,41 @@ def parse_suppress_pragma(text: str) -> Optional[FrozenSet[str]]:
     )
 
 
-def _subtree_ids(node: ast.Node) -> FrozenSet[int]:
-    return frozenset(id(child) for child in walk(node))
+def collect_suppressions(
+    unit: ast.TranslationUnit, index: Optional[NodeIndex] = None
+) -> List[_Span]:
+    """All suppression spans of a unit: (node-id set, rule-id set).
 
-
-def collect_suppressions(unit: ast.TranslationUnit) -> List[_Span]:
-    """All suppression spans of a unit: (node-id set, rule-id set)."""
+    ``index`` must describe ``unit`` as it is now; without one the unit
+    is indexed here.
+    """
+    if index is None:
+        index = NodeIndex(unit)
     spans: List[_Span] = []
     for func in unit.functions():
         for pragma in func.pragmas:
             rules = parse_suppress_pragma(pragma.text)
             if rules:
-                spans.append((_subtree_ids(func) | {id(func)}, rules))
-        for node in walk(func.body):
-            if not isinstance(node, ast.Block):
-                continue
-            for index, stmt in enumerate(node.stmts):
+                spans.append((index.subtree_ids(func), rules))
+        for node in index.select(ast.Block, within=func.body):
+            for position, stmt in enumerate(node.stmts):
                 if not isinstance(stmt, ast.Pragma):
                     continue
                 rules = parse_suppress_pragma(stmt.text)
-                if not rules or index + 1 >= len(node.stmts):
+                if not rules or position + 1 >= len(node.stmts):
                     continue
                 # the span covers the next statement; when that is an
                 # (OMP) pragma, extend through it to the statement it
                 # controls, so suppressing above a pragma-loop pair works
                 ids: set = set()
-                position = index + 1
-                while position < len(node.stmts) and isinstance(
-                    node.stmts[position], ast.Pragma
+                covered = position + 1
+                while covered < len(node.stmts) and isinstance(
+                    node.stmts[covered], ast.Pragma
                 ):
-                    ids |= _subtree_ids(node.stmts[position])
-                    position += 1
-                if position < len(node.stmts):
-                    ids |= _subtree_ids(node.stmts[position])
+                    ids |= index.subtree_ids(node.stmts[covered])
+                    covered += 1
+                if covered < len(node.stmts):
+                    ids |= index.subtree_ids(node.stmts[covered])
                 spans.append((frozenset(ids), rules))
     return spans
 
@@ -106,18 +108,23 @@ def check_unit(
     phase: str = "pristine",
     plan=None,
 ) -> List[Diagnostic]:
-    """All diagnostics of one translation unit, suppressions applied."""
+    """All diagnostics of one translation unit, suppressions applied.
+
+    One index of the unit serves the race lint, the weave verifier and
+    the suppression spans; the line map is rendered on first use.
+    """
     from repro.analysis.flagsafety import check_unit_flag_safety
 
-    _, lines = to_source_with_map(unit)
-    diagnostics = check_unit_races(unit, filename, lines, phase)
+    index = NodeIndex(unit)
+    lines = SourceMap(unit)
+    diagnostics = check_unit_races(unit, filename, lines, phase, index)
     if phase == "pristine":
         # flag-safety is a property of the original kernel; running it
         # on the woven clones would only repeat each finding per version
         diagnostics.extend(check_unit_flag_safety(unit, filename, lines, phase))
     if plan is not None:
-        diagnostics.extend(verify_weave(unit, plan, filename, lines))
-    return apply_suppressions(diagnostics, collect_suppressions(unit))
+        diagnostics.extend(verify_weave(unit, plan, filename, lines, index))
+    return apply_suppressions(diagnostics, collect_suppressions(unit, index))
 
 
 def check_source_text(text: str, filename: str = "<source>") -> List[Diagnostic]:

@@ -22,6 +22,7 @@ from repro.cir.dataflow import (
     parallel_regions,
     references_variable,
 )
+from repro.cir.index import NodeIndex
 from repro.cir.printer import SourceMap
 
 _REDUCTION_OPS = {"+=": "+", "-=": "-", "*=": "*", "++": "+", "--": "-"}
@@ -107,10 +108,17 @@ def check_function_races(
     filename: str,
     lines: Optional[SourceMap] = None,
     phase: str = "pristine",
+    index: Optional[NodeIndex] = None,
 ) -> List[Diagnostic]:
-    """All race diagnostics of one function."""
+    """All race diagnostics of one function.
+
+    ``index`` is any index that holds ``func``'s body; without one the
+    body is indexed once here.
+    """
+    if index is None:
+        index = NodeIndex(func.body)
     diagnostics: List[Diagnostic] = []
-    for region in parallel_regions(func):
+    for region in parallel_regions(func, index):
         if region.loop is None:
             diagnostics.append(
                 diagnose(
@@ -125,7 +133,7 @@ def check_function_races(
                 )
             )
             continue
-        report = classify_sharing(region)
+        report = classify_sharing(region, index)
         if report is None:
             continue
         if report.induction is None:
@@ -152,9 +160,16 @@ def check_unit_races(
     filename: str,
     lines: Optional[SourceMap] = None,
     phase: str = "pristine",
+    index: Optional[NodeIndex] = None,
 ) -> List[Diagnostic]:
-    """Race diagnostics for every function of a translation unit."""
+    """Race diagnostics for every function of a translation unit.
+
+    ``index`` must describe ``unit`` as it is now; without one the unit
+    is indexed once here.
+    """
+    if index is None:
+        index = NodeIndex(unit)
     diagnostics: List[Diagnostic] = []
     for func in unit.functions():
-        diagnostics.extend(check_function_races(func, filename, lines, phase))
+        diagnostics.extend(check_function_races(func, filename, lines, phase, index))
     return diagnostics

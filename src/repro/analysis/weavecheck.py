@@ -17,8 +17,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.rules import diagnose
 from repro.cir import ast
+from repro.cir.index import NodeIndex
 from repro.cir.printer import SourceMap
-from repro.cir.visitor import walk
 from repro.gcc.flags import parse_pragma
 from repro.lara.strategies.multiversioning import THREADS_VARIABLE, VERSION_VARIABLE
 from repro.margot import weavepoints
@@ -85,6 +85,7 @@ def _check_kernel(
     result,  # MultiversioningResult
     filename: str,
     lines: Optional[SourceMap],
+    index: NodeIndex,
 ) -> List[Diagnostic]:
     diagnostics: List[Diagnostic] = []
     kernel = result.kernel
@@ -107,7 +108,7 @@ def _check_kernel(
             continue
         clone = unit.function(name)
         diagnostics.extend(
-            _check_clone_pragmas(clone, spec, filename, lines)
+            _check_clone_pragmas(clone, spec, filename, lines, index)
         )
 
     # -- wrapper dispatch (WV101 / WV102) -------------------------------------
@@ -132,20 +133,19 @@ def _check_kernel(
     for func in unit.functions():
         if func.name in skip:
             continue
-        for node in walk(func.body):
-            if isinstance(node, ast.Call) and node.name == kernel:
-                diagnostics.append(
-                    diagnose(
-                        "WV104",
-                        f"call to original kernel {kernel!r} survived weaving",
-                        filename=filename,
-                        phase="woven",
-                        function=func.name,
-                        node=node,
-                        lines=lines,
-                        hint=f"rewrite the call to {wrapper_name!r}",
-                    )
+        for node in index.calls_to(kernel, within=func.body):
+            diagnostics.append(
+                diagnose(
+                    "WV104",
+                    f"call to original kernel {kernel!r} survived weaving",
+                    filename=filename,
+                    phase="woven",
+                    function=func.name,
+                    node=node,
+                    lines=lines,
+                    hint=f"rewrite the call to {wrapper_name!r}",
                 )
+            )
     return diagnostics
 
 
@@ -154,7 +154,10 @@ def _check_clone_pragmas(
     spec,  # VersionSpec
     filename: str,
     lines: Optional[SourceMap],
+    index: Optional[NodeIndex] = None,
 ) -> List[Diagnostic]:
+    if index is None:
+        index = NodeIndex(clone.body)
     diagnostics: List[Diagnostic] = []
     configs = []
     for pragma in clone.pragmas:
@@ -177,8 +180,8 @@ def _check_clone_pragmas(
                 hint="attach the FlagConfiguration pragma when cloning",
             )
         )
-    for node in walk(clone.body):
-        if not isinstance(node, ast.Pragma) or not is_parallel_for_pragma(node):
+    for node in index.select(ast.Pragma, within=clone.body):
+        if not is_parallel_for_pragma(node):
             continue
         clauses = parse_omp_clauses(node.text)
         if clauses.num_threads != THREADS_VARIABLE:
@@ -319,6 +322,7 @@ def _check_margot_points(
     plan,
     filename: str,
     lines: Optional[SourceMap],
+    index: NodeIndex,
 ) -> List[Diagnostic]:
     diagnostics: List[Diagnostic] = []
     if not any(
@@ -366,25 +370,25 @@ def _check_margot_points(
     for func in unit.functions():
         if func.name in wrappers or func.name in clones:
             continue
-        for block in (n for n in walk(func.body) if isinstance(n, ast.Block)):
-            for index, stmt in enumerate(block.stmts):
-                call = _wrapper_call_in(stmt, wrappers)
+        for block in index.select(ast.Block, within=func.body):
+            for position, stmt in enumerate(block.stmts):
+                call = _wrapper_call_in(stmt, wrappers, index)
                 if call is None:
                     continue
                 diagnostics.extend(
                     _check_call_site(
-                        block, index, func.name, call, filename, lines
+                        block, position, func.name, call, filename, lines
                     )
                 )
     return diagnostics
 
 
-def _wrapper_call_in(stmt: ast.Stmt, wrappers) -> Optional[str]:
+def _wrapper_call_in(stmt: ast.Stmt, wrappers, index: NodeIndex) -> Optional[str]:
     """The wrapper name when ``stmt``'s subtree calls one, else None."""
     if isinstance(stmt, (ast.Block, ast.If, ast.For, ast.While, ast.DoWhile)):
         return None  # the call site anchor is the direct statement
-    for node in walk(stmt):
-        if isinstance(node, ast.Call) and node.name in wrappers:
+    for node in index.select(ast.Call, within=stmt):
+        if node.name in wrappers:
             return node.name
     return None
 
@@ -446,15 +450,20 @@ def verify_weave(
     plan,
     filename: str = "<woven>",
     lines: Optional[SourceMap] = None,
+    index: Optional[NodeIndex] = None,
 ) -> List[Diagnostic]:
     """Check a woven unit against its weave plan.
 
     Returns every structural violation as an error diagnostic; an
-    empty list means the weave is structurally sound.
+    empty list means the weave is structurally sound.  ``index`` must
+    describe ``unit`` as it is now; without one the unit is indexed
+    once here.
     """
+    if index is None:
+        index = NodeIndex(unit)
     diagnostics: List[Diagnostic] = []
     for result in plan.kernels:
-        diagnostics.extend(_check_kernel(unit, result, filename, lines))
+        diagnostics.extend(_check_kernel(unit, result, filename, lines, index))
     diagnostics.extend(_check_control_variables(unit, filename, lines))
-    diagnostics.extend(_check_margot_points(unit, plan, filename, lines))
+    diagnostics.extend(_check_margot_points(unit, plan, filename, lines, index))
     return diagnostics

@@ -21,6 +21,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.cir import ast
 from repro.cir.analysis import LoopInfo
+from repro.cir.index import NodeIndex
 from repro.cir.visitor import iter_child_nodes, walk
 
 READ = "read"
@@ -140,13 +141,15 @@ def _collect(node: ast.Node, out: List[Access]) -> None:
         _collect(child, out)
 
 
-def declared_names(node: ast.Node) -> FrozenSet[str]:
-    """Names declared anywhere inside the subtree (block-scoped)."""
-    names: Set[str] = set()
-    for current in walk(node):
-        if isinstance(current, ast.Decl):
-            names.add(current.name)
-    return frozenset(names)
+def declared_names(node: ast.Node, index: Optional[NodeIndex] = None) -> FrozenSet[str]:
+    """Names declared anywhere inside the subtree (block-scoped).
+
+    ``index`` is any index that holds ``node``; without one the
+    subtree is indexed on the spot.
+    """
+    if index is None:
+        index = NodeIndex(node)
+    return frozenset(decl.name for decl in index.select(ast.Decl, within=node))
 
 
 # ---------------------------------------------------------------------------
@@ -410,25 +413,30 @@ class ParallelRegion:
     clauses: OmpClauses
 
 
-def parallel_regions(func: ast.FunctionDef) -> List[ParallelRegion]:
+def parallel_regions(
+    func: ast.FunctionDef, index: Optional[NodeIndex] = None
+) -> List[ParallelRegion]:
     """All parallel-for regions of ``func``, in source order.
 
     Handles both sibling form (pragma then ``for`` in one block) and
     the parser's wrapped form (``Block([pragma, for])`` synthesised
     for pragma-controlled statements in loop/if body position).
+    ``index`` is any index that holds ``func``'s body; without one the
+    body is indexed on the spot.
     """
+    if index is None:
+        index = NodeIndex(func.body)
     regions: List[ParallelRegion] = []
     seen: Set[int] = set()
-    for node in walk(func.body):
-        if not isinstance(node, ast.Block):
-            continue
-        for index, stmt in enumerate(node.stmts):
+    for node in index.select(ast.Block, within=func.body):
+        for position, stmt in enumerate(node.stmts):
             if not isinstance(stmt, ast.Pragma) or not is_parallel_for_pragma(stmt):
                 continue
             if id(stmt) in seen:
                 continue
             seen.add(id(stmt))
-            controlled = node.stmts[index + 1] if index + 1 < len(node.stmts) else None
+            after = position + 1
+            controlled = node.stmts[after] if after < len(node.stmts) else None
             loop = controlled if isinstance(controlled, ast.For) else None
             regions.append(
                 ParallelRegion(
@@ -457,14 +465,17 @@ class SharingReport:
         return name not in self.privatized and name not in self.local
 
 
-def classify_sharing(region: ParallelRegion) -> Optional[SharingReport]:
+def classify_sharing(
+    region: ParallelRegion, index: Optional[NodeIndex] = None
+) -> Optional[SharingReport]:
     """Classify every access of a parallel region by data-sharing.
 
     Returns ``None`` when the region controls no analyzable ``for``
     loop.  The parallel loop's induction variable is private by the
     OpenMP worksharing rules; variables declared inside the region are
     private by scoping; everything else named by a clause follows the
-    clause; the rest is shared.
+    clause; the rest is shared.  ``index``, when given, must hold the
+    region's loop (see :func:`declared_names`).
     """
     loop = region.loop
     if loop is None:
@@ -473,7 +484,7 @@ def classify_sharing(region: ParallelRegion) -> Optional[SharingReport]:
     privatized = set(region.clauses.privatized)
     if induction is not None:
         privatized.add(induction)
-    local = declared_names(loop)
+    local = declared_names(loop, index)
     report = SharingReport(
         region=region,
         induction=induction,

@@ -23,15 +23,24 @@ class SourceMap:
     they are emitted; :meth:`line_of` resolves any node (including
     sub-expressions) to the line of its nearest recorded ancestor once
     :meth:`expand` has been called with the printed root.
+
+    ``SourceMap(root)`` is the map of ``root`` built on demand: the
+    first :meth:`line_of` renders ``root`` with
+    :func:`to_source_with_map`, so a caller that never asks for a line
+    never prints the tree.  ``root`` must not change before that call.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, root: Optional[ast.Node] = None) -> None:
         self._lines: Dict[int, int] = {}
+        self._pending = root
 
     def record(self, node: ast.Node, line: int) -> None:
         self._lines.setdefault(id(node), line)
 
     def line_of(self, node: ast.Node) -> Optional[int]:
+        if self._pending is not None:
+            root, self._pending = self._pending, None
+            self._lines = to_source_with_map(root)[1]._lines
         return self._lines.get(id(node))
 
     def expand(self, root: ast.Node) -> "SourceMap":

@@ -610,8 +610,17 @@ def cmd_check(args: argparse.Namespace) -> int:
                 text = handle.read()
         except (OSError, UnicodeDecodeError) as error:
             raise ValueError(f"{args.source}: cannot read source ({error})") from None
+        try:
+            diagnostics = check_source_text(text, filename=args.source)
+        except RecursionError:
+            # legal C can nest deeper than the recursive analyses reach
+            raise ValueError(
+                f"{args.source}: expressions or statements nest too deeply to "
+                f"analyse (beyond the interpreter's recursion limit of "
+                f"{sys.getrecursionlimit()})"
+            ) from None
         report = CheckReport()
-        report.extend(check_source_text(text, filename=args.source), units=1)
+        report.extend(diagnostics, units=1)
     elif getattr(args, "all", False) or args.app:
         if getattr(args, "all", False):
             from repro.polybench.suite import all_apps

@@ -11,25 +11,25 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, List, Optional
 
-from repro.cir import (
-    Block,
-    Call,
-    For,
-    FunctionDef,
-    Pragma,
-    walk,
-)
+from repro.cir import Call, For, FunctionDef, NodeIndex, Pragma
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lara.weaver import Weaver
 
 
 class JoinPoint:
-    """Base join point: wraps one AST node and meters attribute reads."""
+    """Base join point: wraps one AST node and meters attribute reads.
 
-    def __init__(self, weaver: "Weaver", node: Any) -> None:
+    A join point selected through a :class:`~repro.cir.NodeIndex`
+    keeps that index and answers its subtree attributes from it.
+    """
+
+    def __init__(
+        self, weaver: "Weaver", node: Any, index: Optional[NodeIndex] = None
+    ) -> None:
         self._weaver = weaver
         self.node = node
+        self._index = index
 
     def attr(self, name: str) -> Any:
         """Read one attribute of the underlying node (metered)."""
@@ -72,27 +72,28 @@ class FunctionJp(JoinPoint):
         raise KeyError(name)
 
     # -- selections -----------------------------------------------------------
+    #
+    # Each selection reads ``index`` when given (an index that holds this
+    # function's body, e.g. one from :meth:`Weaver.index`), else indexes
+    # the body on the spot.
 
-    def pragmas(self) -> List["PragmaJp"]:
+    def pragmas(self, index: Optional[NodeIndex] = None) -> List["PragmaJp"]:
         """All pragma statements inside this function's body."""
-        return [
-            PragmaJp(self._weaver, node)
-            for node in walk(self.node.body)
-            if isinstance(node, Pragma)
-        ]
+        return self._select(PragmaJp, Pragma, index)
 
-    def loops(self) -> List["LoopJp"]:
-        return [
-            LoopJp(self._weaver, node)
-            for node in walk(self.node.body)
-            if isinstance(node, For)
-        ]
+    def loops(self, index: Optional[NodeIndex] = None) -> List["LoopJp"]:
+        return self._select(LoopJp, For, index)
 
-    def calls(self) -> List["CallJp"]:
+    def calls(self, index: Optional[NodeIndex] = None) -> List["CallJp"]:
+        return self._select(CallJp, Call, index)
+
+    def _select(self, jp_class, node_class, index: Optional[NodeIndex]) -> list:
+        body = self.node.body
+        if index is None:
+            index = NodeIndex(body)
         return [
-            CallJp(self._weaver, node)
-            for node in walk(self.node.body)
-            if isinstance(node, Call)
+            jp_class(self._weaver, node, index)
+            for node in index.select(node_class, within=body)
         ]
 
 
@@ -113,9 +114,8 @@ class LoopJp(JoinPoint):
 
             return LoopInfo(node=loop, depth=0).induction_variable
         if name == "is_innermost":
-            return not any(
-                isinstance(node, For) for node in walk(loop.body)
-            )
+            index = self._index if self._index is not None else NodeIndex(loop.body)
+            return index.count(For, within=loop.body) == 0
         raise KeyError(name)
 
 

@@ -16,6 +16,7 @@ everything the paper's Table I reports:
 
 from __future__ import annotations
 
+import functools
 import io
 import tokenize
 from dataclasses import dataclass
@@ -81,23 +82,25 @@ def python_logical_lines(source: str) -> int:
     return len(lines - docstring_candidates)
 
 
+@functools.lru_cache(maxsize=None)
+def _module_loc(path: str) -> int:
+    """Logical LOC of one source file, read and tokenized once per process."""
+    return python_logical_lines(Path(path).read_text())
+
+
 def strategy_loc(extra_modules: Sequence[str] = ()) -> int:
     """Measured logical LOC of the strategy implementation sources.
 
     This is the denominator of the Bloat metric — the analogue of the
-    paper's "265 logical lines of LARA strategy code".
+    paper's "265 logical lines of LARA strategy code".  Each file is
+    measured once per process: a source file does not change under a
+    running program.
     """
     import repro.lara.strategies.autotuner as autotuner_module
     import repro.lara.strategies.multiversioning as multiversioning_module
 
-    total = 0
-    modules = [multiversioning_module, autotuner_module]
-    for module in modules:
-        source = Path(module.__file__).read_text()
-        total += python_logical_lines(source)
-    for path in extra_modules:
-        total += python_logical_lines(Path(path).read_text())
-    return total
+    modules = [multiversioning_module.__file__, autotuner_module.__file__]
+    return sum(_module_loc(str(path)) for path in [*modules, *extra_modules])
 
 
 def default_versions(

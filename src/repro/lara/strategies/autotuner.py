@@ -17,9 +17,9 @@ Integrates mARGOt into the (already multiversioned) application:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.cir import Call, ExprStmt, Ident, UnaryOp
+from repro.cir import Call, ExprStmt, Ident, NodeIndex, UnaryOp
 from repro.lara.strategies.multiversioning import (
     THREADS_VARIABLE,
     VERSION_VARIABLE,
@@ -70,9 +70,14 @@ class AutotunerStrategy:
 
     def _instrument_wrapper(self, weaver: Weaver, wrapper: str) -> AutotunerResult:
         instrumented = 0
-        for call_jp in weaver.select_calls_to(wrapper):
+        # indexed per wrapper, so the select also sees the calls woven
+        # around earlier wrappers; the insertions below only add
+        # statements around existing calls, so each call's owner stays
+        # as indexed
+        index = weaver.index()
+        for call_jp in weaver.select_calls_to(wrapper, index):
             call_jp.attr("arg_count")
-            owner = self._owning_function(weaver, call_jp.node)
+            owner = self._owning_function(weaver, call_jp.node, index)
             anchor = weaver.statement_containing_call(owner, call_jp.node)
             update = ExprStmt(
                 expr=Call(
@@ -94,10 +99,8 @@ class AutotunerStrategy:
         return AutotunerResult(wrapper=wrapper, instrumented_calls=instrumented)
 
     @staticmethod
-    def _owning_function(weaver: Weaver, call: Call):
-        from repro.cir import walk
-
-        for func in weaver.unit.functions():
-            if any(node is call for node in walk(func.body)):
-                return func
-        raise RuntimeError("call does not belong to any function")
+    def _owning_function(weaver: Weaver, call: Call, index: Optional[NodeIndex] = None):
+        owner = (index if index is not None else weaver.index()).owner(call)
+        if owner is None:
+            raise RuntimeError("call does not belong to any function")
+        return owner

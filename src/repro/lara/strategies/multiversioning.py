@@ -36,7 +36,7 @@ from repro.cir import (
 )
 from repro.gcc.flags import FlagConfiguration
 from repro.machine.openmp import BindingPolicy
-from repro.lara.joinpoint import FunctionJp
+from repro.lara.joinpoint import CallJp, FunctionJp
 from repro.lara.weaver import Weaver
 
 #: Names of the weaved control variables (exposed to mARGOt).
@@ -138,12 +138,15 @@ class MultiversioningStrategy:
         weaver.attach_pragma(clone, version.compiler.pragma_text)
         # inspect the loop structure of the clone: the strategy verifies
         # that every parallel loop is an outermost `for` with a known
-        # induction variable before touching its pragma
-        for loop_jp in clone.loops():
+        # induction variable before touching its pragma.  One index of
+        # the clone serves every loop and pragma read: rewriting pragma
+        # text leaves the tree's shape as indexed.
+        index = weaver.index(clone.node.body)
+        for loop_jp in clone.loops(index):
             loop_jp.attr("kind")
             loop_jp.attr("induction_variable")
             loop_jp.attr("is_innermost")
-        for pragma_jp in clone.pragmas():
+        for pragma_jp in clone.pragmas(index):
             if not pragma_jp.attr("is_omp"):
                 continue
             if not pragma_jp.attr("is_parallel_for"):
@@ -209,7 +212,6 @@ class MultiversioningStrategy:
     @staticmethod
     def _calls_in(weaver: Weaver, func: FunctionDef, callee: str):
         from repro.cir import walk
-        from repro.lara.joinpoint import CallJp
 
         result = []
         for node in walk(func.body):

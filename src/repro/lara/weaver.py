@@ -20,6 +20,7 @@ from repro.cir import (
     Ident,
     Include,
     Node,
+    NodeIndex,
     Pragma,
     Stmt,
     TranslationUnit,
@@ -72,8 +73,8 @@ class Weaver:
 
     # -- metric hooks ---------------------------------------------------------
 
-    def count_attribute(self) -> None:
-        self.metrics.attributes_checked += 1
+    def count_attribute(self, count: int = 1) -> None:
+        self.metrics.attributes_checked += count
 
     def count_action(self) -> None:
         self.metrics.actions_performed += 1
@@ -90,15 +91,33 @@ class Weaver:
                 return jp
         raise WeaveError(f"no function named {name!r}")
 
-    def select_calls_to(self, callee: str) -> List[CallJp]:
-        """Every call expression targeting ``callee`` anywhere in the unit."""
+    def index(self, root: Optional[Node] = None) -> NodeIndex:
+        """A fresh index of the unit (or of ``root``).
+
+        The index is a snapshot of the tree as it is now: read it until
+        the next action that adds, removes or retargets nodes, then
+        build a new one.
+        """
+        return NodeIndex(self.unit if root is None else root)
+
+    def select_calls_to(
+        self, callee: str, index: Optional[NodeIndex] = None
+    ) -> List[CallJp]:
+        """Every call expression targeting ``callee`` anywhere in the unit.
+
+        The select checks the ``name`` attribute of every call in every
+        function body (Att).  ``index`` must describe the unit as it is
+        now; without one the unit is indexed on the spot.
+        """
+        if index is None:
+            index = self.index()
         result: List[CallJp] = []
         for func in self.unit.functions():
-            for node in walk(func.body):
-                if isinstance(node, Call):
-                    jp = CallJp(self, node)
-                    if jp.attr("name") == callee:
-                        result.append(jp)
+            self.count_attribute(index.count(Call, within=func.body))
+            result.extend(
+                CallJp(self, node, index)
+                for node in index.calls_to(callee, within=func.body)
+            )
         return result
 
     # -- actions ------------------------------------------------------------------

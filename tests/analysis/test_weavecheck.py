@@ -180,6 +180,58 @@ class TestBreakCases:
         assert any(victim in d.message for d in wv101)
 
 
+class TestLazyLineMap:
+    """The gate prints a unit for its line map only when a diagnostic
+    needs a line, and then gives the lines an eager map gives."""
+
+    @staticmethod
+    def _count_maps(monkeypatch):
+        import repro.cir.printer as printer
+
+        calls = []
+        eager = printer.to_source_with_map
+
+        def counting(node):
+            calls.append(node)
+            return eager(node)
+
+        monkeypatch.setattr(printer, "to_source_with_map", counting)
+        return calls
+
+    def test_clean_woven_units_are_never_printed(self, monkeypatch):
+        from repro.polybench.suite import BENCHMARK_NAMES
+
+        calls = self._count_maps(monkeypatch)
+        for name in BENCHMARK_NAMES:
+            weaver = _weave(name)
+            diags = check_unit(
+                weaver.unit, f"{name}.weaved.c", phase="woven", plan=weaver.plan
+            )
+            assert diags == [], name
+        assert calls == []
+
+    def test_planted_wv103_lines_match_the_eager_map(self, monkeypatch):
+        weaver = _weave("2mm")
+        result = weaver.plan.kernels[0]
+        clone = weaver.unit.function(result.version_names[3])
+        pragma = next(
+            node
+            for node in walk(clone.body)
+            if isinstance(node, ast.Pragma) and THREADS_VARIABLE in node.text
+        )
+        pragma.text = pragma.text.replace(f" num_threads({THREADS_VARIABLE})", "")
+        calls = self._count_maps(monkeypatch)
+        diags = check_unit(weaver.unit, "2mm.weaved.c", phase="woven", plan=weaver.plan)
+        assert len(calls) == 1  # rendered once, for the first line asked
+        assert [d.rule for d in diags] == ["WV103"]
+        _, eager = to_source_with_map(weaver.unit)
+        nodes = {id(node): node for node in walk(weaver.unit)}
+        for diag in diags:
+            assert diag.anchor_id == id(pragma)
+            assert diag.line is not None
+            assert diag.line == eager.line_of(nodes[diag.anchor_id])
+
+
 class TestToolflowGate:
     def test_broken_weave_aborts_the_build(self, monkeypatch):
         from repro.core.toolflow import SocratesToolflow, WeaveVerificationError

@@ -412,6 +412,26 @@ class TestCheckCommand:
         assert "codec can't decode" in captured.err
         assert captured.out == ""
 
+    @staticmethod
+    def _chain(terms):
+        """Legal C whose return expression is an ``a+a+...+a`` chain."""
+        return "int f(int a) {\n  return " + "+".join(["a"] * terms) + ";\n}\n"
+
+    def test_long_expression_chain_is_checked(self, tmp_path, capsys):
+        # a clean unit is never printed, so the printer's recursion
+        # over a 600-term chain is never reached
+        assert self._lint(tmp_path, "chain600.c", self._chain(600)) == 0
+        assert "0 error(s), 0 warning(s)" in capsys.readouterr().out
+
+    def test_too_deep_nesting_is_a_named_error(self, tmp_path, capsys):
+        path = tmp_path / "chain1500.c"
+        path.write_text(self._chain(1500))
+        assert main(["check", "--source", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: expressions or statements nest")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_no_selection_is_an_error(self, capsys):
         assert main(["check"]) == 2
         assert "--all" in capsys.readouterr().err

@@ -256,6 +256,33 @@ class TestTable1Metrics:
         assert 100 < lines < 600
         assert strategy_loc() == lines
 
+    def test_strategy_loc_matches_an_uncached_count(self, tmp_path):
+        import repro.lara.strategies.autotuner as autotuner_module
+        import repro.lara.strategies.multiversioning as multiversioning_module
+        from pathlib import Path
+
+        uncached = sum(
+            python_logical_lines(Path(module.__file__).read_text())
+            for module in (multiversioning_module, autotuner_module)
+        )
+        assert strategy_loc() == uncached == 231  # Table I's denominator
+        extra = tmp_path / "extra_strategy.py"
+        extra.write_text("x = 1\n\ndef f():\n    return x\n")
+        assert strategy_loc([str(extra)]) == uncached + 3
+
+    def test_strategy_loc_reads_each_file_once(self, monkeypatch):
+        import repro.lara.metrics as metrics
+
+        expected = strategy_loc()
+
+        def unreadable(source):
+            raise AssertionError("strategy source tokenized twice")
+
+        monkeypatch.setattr(metrics, "python_logical_lines", unreadable)
+        assert strategy_loc() == expected
+        report, _ = weave_benchmark(load("mvt"), standard_levels())
+        assert report.strategy_lines == expected
+
     def test_weave_benchmark_full_report(self, two_mm):
         report, weaver = weave_benchmark(two_mm, standard_levels())
         assert report.benchmark == "2mm"
